@@ -11,6 +11,7 @@ use hc_rtl::passes::optimize;
 use hc_synth::{synthesize, Device, SynthOptions};
 
 fn main() {
+    let _trace = hc_obs::trace::flush_on_exit();
     println!(
         "== Ablation 1: Verilog unit scaling (paper: x1.8 throughput, /1.7 area; then x2, /4.6) =="
     );

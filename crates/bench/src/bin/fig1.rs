@@ -1,6 +1,7 @@
 //! Regenerates Fig. 1: the design-space exploration scatter over every
 //! configuration of every tool (ASCII plot + CSV).
 fn main() {
+    let _trace = hc_obs::trace::flush_on_exit();
     let nblocks: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())

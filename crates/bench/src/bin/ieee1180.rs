@@ -34,7 +34,8 @@ fn print_run(runs: &[((i32, i32), bool, AccuracyStats)]) -> bool {
     all_ok
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
+    let _trace = hc_obs::trace::flush_on_exit();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let rtl = args.first().is_some_and(|a| a == "--rtl");
     let blocks: usize = args
@@ -61,7 +62,9 @@ fn main() {
         "\noverall: {}",
         if all_ok { "COMPLIANT" } else { "NOT COMPLIANT" }
     );
-    if !all_ok {
-        std::process::exit(1);
+    if all_ok {
+        std::process::ExitCode::SUCCESS
+    } else {
+        std::process::ExitCode::FAILURE
     }
 }

@@ -263,6 +263,7 @@ fn cache_stats(addr: SocketAddr) -> ((u64, u64, u64), (bool, u64, u64)) {
 
 #[allow(clippy::cast_precision_loss, clippy::too_many_lines)]
 fn main() {
+    let _trace = hc_obs::trace::flush_on_exit();
     let args = parse_args();
     let mut record = Json::Obj(Vec::new());
 

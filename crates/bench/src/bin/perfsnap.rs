@@ -46,6 +46,10 @@
 //!    `HC_STORE_DIR` pointing at a populated store this is the cost a
 //!    second process actually pays; run perfsnap twice against the same
 //!    directory to A/B cold vs warm (ci.sh gates on it).
+//! 8. **Idle register rows**: the share of register rows the batched
+//!    engines skipped because their enable group was idle, over the
+//!    matrix, the first Fig. 1 sweep and a Table II regeneration
+//!    (`reg_rows_skipped_share`).
 //!
 //! Usage: `cargo run -p hc-bench --release --bin perfsnap [nblocks]`
 //! (`nblocks` sizes the sweep simulation effort; default 2).
@@ -55,6 +59,27 @@ use std::time::{Duration, Instant};
 use hc_axi::{BatchedStreamHarness, StreamHarness};
 use hc_idct::generator::BlockGen;
 use hc_sim::{EngineOptions, NativeBatchedReport, NativeBatchedSimulator, TapeOptReport};
+
+/// Share of register rows the batched engines (both tiers) skipped as idle
+/// while `phase` ran. Engines flush their counts when dropped, so `phase`
+/// must drop every engine it builds.
+fn reg_rows_skipped_share(phase: impl FnOnce()) -> f64 {
+    let counts = || {
+        let get = |name: &str| hc_obs::metrics::counter_named(name).get();
+        let tiers = ["sim.batched", "sim.native_batched"];
+        let rows: u64 = tiers.iter().map(|t| get(&format!("{t}.reg_rows"))).sum();
+        let skipped: u64 = tiers
+            .iter()
+            .map(|t| get(&format!("{t}.reg_rows_skipped")))
+            .sum();
+        (rows, skipped)
+    };
+    let (rows0, skipped0) = counts();
+    phase();
+    let (rows, skipped) = counts();
+    let skipped = skipped - skipped0;
+    skipped as f64 / (rows - rows0 + skipped).max(1) as f64
+}
 
 /// Best cycles/sec over 3 timed repetitions (after one warmup rep). The
 /// closure streams one batch through an already-built engine and returns the
@@ -136,6 +161,7 @@ fn store_json(enabled: bool, front: (u64, u64), measure: (u64, u64)) -> String {
 }
 
 fn main() {
+    let _trace = hc_obs::trace::flush_on_exit();
     let nblocks: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -374,9 +400,17 @@ fn main() {
     // "agreement": true) if it was bit-exact; ci.sh gates on all
     // kernels x frontends being present and agreeing.
     let mut matrix_entries: Vec<String> = Vec::new();
-    for spec in hc_bench::kernels::kernels() {
-        let rows = hc_core::matrix::measure_kernel_matrix(&spec, nblocks.max(2));
-        for row in &rows {
+    let mut matrix_rows = Vec::new();
+    let matrix_idle = reg_rows_skipped_share(|| {
+        for spec in hc_bench::kernels::kernels() {
+            matrix_rows.push(hc_core::matrix::measure_kernel_matrix(
+                &spec,
+                nblocks.max(2),
+            ));
+        }
+    });
+    for rows in &matrix_rows {
+        for row in rows {
             let m = &row.measurement;
             println!(
                 "  {:26} {:9.1} MOPS  Q {:10.3}  T_P {:4}  alpha {:6.1}%  C_Q {:6.1}%",
@@ -412,7 +446,9 @@ fn main() {
     let (front_hits_0, front_misses_0) = (tier.front_hits.get(), tier.front_misses.get());
     let (meas_hits_0, meas_misses_0) = (tier.measure_hits.get(), tier.measure_misses.get());
     let start = Instant::now();
-    let _ = hc_bench::fig1_points(nblocks);
+    let fig1_idle = reg_rows_skipped_share(|| {
+        hc_bench::fig1_points(nblocks);
+    });
     let first_sweep_time = start.elapsed();
     let front_hits = tier.front_hits.get() - front_hits_0;
     let front_misses = tier.front_misses.get() - front_misses_0;
@@ -425,6 +461,17 @@ fn main() {
          {front_misses} miss, measure {meas_hits} hit / {meas_misses} miss)",
         first_sweep_time.as_secs_f64(),
         if store_on { "on" } else { "off" },
+    );
+    // After the first sweep, which must stay the process's first look at
+    // the store; this regeneration only re-simulates.
+    let table2_idle = reg_rows_skipped_share(|| {
+        hc_core::measure::measure_all(&hc_core::entries::all_tools(), 3);
+    });
+    println!(
+        "  idle register rows skipped: Table II {:.1}%, matrix {:.1}%, Fig. 1 {:.1}%",
+        100.0 * table2_idle,
+        100.0 * matrix_idle,
+        100.0 * fig1_idle
     );
     let start = Instant::now();
     let serial = hc_bench::fig1_points_serial(nblocks);
@@ -504,6 +551,8 @@ fn main() {
          \"fig1_point_seconds_max\": {point_max:.4},\n  \
          \"tape\": [\n    {tape_json}\n  ],\n  \
          \"matrix\": {{\n    {matrix_json}\n  }},\n  \
+         \"reg_rows_skipped_share\": {{\"table2\": {table2_idle:.4}, \"fig1\": {fig1_idle:.4}, \
+         \"matrix\": {matrix_idle:.4}}},\n  \
          \"metrics\": {metrics},\n  \
          \"threads\": {threads}\n}}\n",
         main_rep = report_json(&main_report),
@@ -529,12 +578,4 @@ fn main() {
     );
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("(written to BENCH_sim.json)");
-
-    // With HC_TRACE=<path> set, every span recorded above lands in one
-    // Chrome-trace file (open via chrome://tracing or Perfetto).
-    match hc_obs::trace::flush() {
-        Ok(Some(path)) => println!("(trace written to {path})"),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: failed to write HC_TRACE file: {e}"),
-    }
 }

@@ -2,6 +2,7 @@
 //! seven tools and prints the full evaluation (text to stdout, CSV to
 //! `table2.csv` if writable).
 fn main() {
+    let _trace = hc_obs::trace::flush_on_exit();
     let nblocks: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())

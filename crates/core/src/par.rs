@@ -115,7 +115,7 @@ where
     let next = AtomicUsize::new(0);
     let slots: OnceSlots<R> = OnceSlots::new(n);
     std::thread::scope(|s| {
-        for _ in 0..workers {
+        let workers = (0..workers).map(|_| {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
@@ -125,10 +125,22 @@ where
                 // SAFETY: the fetch_add claim makes this thread the only
                 // writer of index `i`; collection happens after the join.
                 unsafe { slots.write(i, r) };
-            });
-        }
+            })
+        });
+        join_workers(workers.collect());
     });
     slots.into_vec()
+}
+
+/// Joins scoped workers and re-raises the first worker panic with its own
+/// payload. Left to `std::thread::scope`, a worker panic surfaces as "a
+/// scoped thread panicked" and the worker's message is lost.
+fn join_workers(workers: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    for w in workers {
+        if let Err(payload) = w.join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
 }
 
 /// Target per-task wall time for [`adaptive_chunk`]: long enough that
@@ -181,7 +193,7 @@ where
     let next = AtomicUsize::new(0);
     let slots: OnceSlots<R> = OnceSlots::new(n);
     std::thread::scope(|s| {
-        for _ in 0..workers {
+        let workers = (0..workers).map(|_| {
             s.spawn(|| loop {
                 let start = next.fetch_add(chunk, Ordering::Relaxed);
                 if start >= n {
@@ -194,8 +206,9 @@ where
                     // to this thread alone; collection is post-join.
                     unsafe { slots.write(start + offset, r) };
                 }
-            });
-        }
+            })
+        });
+        join_workers(workers.collect());
     });
     slots.into_vec()
 }

@@ -235,8 +235,9 @@ pub fn clear() {
 }
 
 /// Writes the recorded events to the armed `HC_TRACE` path, returning the
-/// path written, or `None` when tracing is disarmed. Call once at tool
-/// exit; events keep accumulating if the process traces further.
+/// path written, or `None` when tracing is disarmed. Tools call it through
+/// [`flush_on_exit`]; events keep accumulating if the process traces
+/// further.
 ///
 /// # Errors
 ///
@@ -248,6 +249,30 @@ pub fn flush() -> std::io::Result<Option<String>> {
     let json = to_chrome_json(&events());
     std::fs::write(&path, json)?;
     Ok(Some(path))
+}
+
+/// Writes the trace when dropped (see [`flush_on_exit`]).
+#[must_use = "the trace is written when the guard drops"]
+#[derive(Debug)]
+pub struct FlushOnExit(());
+
+/// Arms the tracer from the environment and returns a guard that
+/// [`flush`]es when it drops. A binary binds it first thing in `main`, so
+/// `HC_TRACE=<path>` works with every tool, including on a panic that
+/// unwinds out of `main`. `std::process::exit` skips the guard.
+pub fn flush_on_exit() -> FlushOnExit {
+    crate::config();
+    FlushOnExit(())
+}
+
+impl Drop for FlushOnExit {
+    fn drop(&mut self) {
+        match flush() {
+            Ok(Some(path)) => eprintln!("(trace written to {path})"),
+            Ok(None) => {}
+            Err(e) => eprintln!("warning: failed to write HC_TRACE file: {e}"),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -25,16 +25,23 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so this cap bounds its stack use whatever the
+/// input; protocol bodies nest a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Parses one JSON document (trailing garbage is an error).
     ///
     /// # Errors
     ///
-    /// A message with the byte offset of the first violation.
+    /// A message with the byte offset of the first violation, including
+    /// nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -281,6 +288,8 @@ macro_rules! jobj {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -305,8 +314,20 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(c @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -487,6 +508,29 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let obj = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&obj).is_err());
+    }
+
+    /// A megabyte of `[` fits under the server's body cap; parsing it on a
+    /// connection thread's 2 MiB stack must fail cleanly, not overflow.
+    #[test]
+    fn million_nested_arrays_return_err_on_a_2mib_stack() {
+        let body = "[".repeat(1_000_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&body).is_err())
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread did not panic");
+        assert!(parsed);
     }
 
     #[test]

@@ -419,6 +419,31 @@ fn http_level_garbage_gets_400_404_405() {
     server.shutdown();
 }
 
+/// A megabyte of nested `[` is under the body cap; the server must answer
+/// `400 bad_json` instead of overflowing its connection thread's stack.
+#[test]
+fn deeply_nested_body_gets_400_bad_json() {
+    use std::io::{Read, Write};
+    let server = test_server(1, 4);
+    let body = "[".repeat(1_000_000);
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    write!(
+        raw,
+        "POST /v1/synth HTTP/1.1\r\nhost: hc-serve\r\nconnection: close\r\n\
+         content-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut buf = Vec::new();
+    raw.read_to_end(&mut buf).unwrap();
+    let text = String::from_utf8_lossy(&buf);
+    assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+    assert!(text.contains("\"bad_json\""), "{text}");
+    let r = roundtrip(server.addr(), "GET", "/healthz", None).unwrap();
+    assert_eq!(r.status, 200, "the server survives");
+    server.shutdown();
+}
+
 /// Backpressure: a tiny queue behind a wedged worker must answer 429 with
 /// Retry-After instead of queueing unboundedly.
 ///

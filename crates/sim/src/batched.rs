@@ -32,6 +32,8 @@
 //! lanes (it is cheap and has no side effects). Register commit remains
 //! double-buffered per lane.
 
+use std::collections::BTreeMap;
+
 use hc_bits::Bits;
 use hc_rtl::passes::eval::eval_pure;
 use hc_rtl::{Module, ValidateError};
@@ -166,6 +168,137 @@ fn wdeposit_n(dst: &mut [u64], src: &[u64], l: usize, off: u32, width: u32) {
     }
 }
 
+/// Registers that share one `(enable slot, reset slot)` pair, as indices
+/// into the narrow and wide register plans. The commit tests a group's
+/// enable and reset once for all of its registers.
+#[derive(Debug, Default)]
+struct RegGroup {
+    en: Option<u32>,
+    reset: Option<u32>,
+    nregs: Vec<u32>,
+    wregs: Vec<u32>,
+}
+
+impl RegGroup {
+    fn rows(&self) -> u64 {
+        (self.nregs.len() + self.wregs.len()) as u64
+    }
+}
+
+/// Groups the register plans by their `(enable, reset)` slot pair. Built
+/// from the tape-optimized plans, since the tape optimizer remaps slots.
+fn reg_groups(low: &Lowered) -> Vec<RegGroup> {
+    let mut groups: BTreeMap<(Option<u32>, Option<u32>), RegGroup> = BTreeMap::new();
+    for (ri, p) in low.nregs.iter().enumerate() {
+        groups
+            .entry((p.en, p.reset))
+            .or_default()
+            .nregs
+            .push(ri as u32);
+    }
+    for (ri, p) in low.wregs.iter().enumerate() {
+        groups
+            .entry((p.en, p.reset))
+            .or_default()
+            .wregs
+            .push(ri as u32);
+    }
+    groups
+        .into_iter()
+        .map(|((en, reset), g)| RegGroup { en, reset, ..g })
+        .collect()
+}
+
+/// Register-commit work counters of one engine.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct CommitCounts {
+    /// Register rows gathered and committed (one row: one register across
+    /// all lanes, for one step).
+    pub rows: u64,
+    /// Register rows skipped because their group was idle.
+    pub rows_skipped: u64,
+    /// Idle groups skipped.
+    pub groups_skipped: u64,
+}
+
+impl CommitCounts {
+    /// Adds the counts to the `{engine}.reg_*` metrics and zeroes them, so
+    /// a wrapping engine can claim them before the wrapped one drops.
+    pub(crate) fn flush_to_metrics(&mut self, engine: &str) {
+        for (name, n) in [
+            ("reg_rows", self.rows),
+            ("reg_rows_skipped", self.rows_skipped),
+            ("reg_groups_skipped", self.groups_skipped),
+        ] {
+            if n > 0 {
+                hc_obs::metrics::counter_named(&format!("{engine}.{name}")).add(n);
+            }
+        }
+        *self = CommitCounts::default();
+    }
+}
+
+/// Gathers one register row (`init.len()` words of `l` lanes each) into
+/// its shadow: the init word under reset, else the next value under
+/// enable, else the current value. Masked lanes keep the current value.
+#[inline(always)]
+fn gather_row(
+    sh: &mut [u64],
+    next: &[u64],
+    cur: &[u64],
+    init: &[u64],
+    (en, rst): (Option<&[u64]>, Option<&[u64]>),
+    masked: Option<&[bool]>,
+) {
+    let l = sh.len() / init.len();
+    for (w, &iw) in init.iter().enumerate() {
+        let sh = &mut sh[w * l..][..l];
+        let next = &next[w * l..][..l];
+        let cur = &cur[w * l..][..l];
+        match (rst, en) {
+            (None, None) => sh.copy_from_slice(next),
+            (None, Some(en)) => {
+                for k in 0..l {
+                    sh[k] = if en[k] != 0 { next[k] } else { cur[k] };
+                }
+            }
+            (Some(rst), None) => {
+                for k in 0..l {
+                    sh[k] = if rst[k] != 0 { iw } else { next[k] };
+                }
+            }
+            (Some(rst), Some(en)) => {
+                for k in 0..l {
+                    sh[k] = if rst[k] != 0 {
+                        iw
+                    } else if en[k] != 0 {
+                        next[k]
+                    } else {
+                        cur[k]
+                    };
+                }
+            }
+        }
+        if let Some(active) = masked {
+            for k in (0..l).filter(|&k| !active[k]) {
+                sh[k] = cur[k];
+            }
+        }
+    }
+}
+
+/// Copies a gathered shadow row over the register row; true if any word
+/// changed.
+#[inline(always)]
+fn commit_row(row: &mut [u64], sh: &[u64]) -> bool {
+    if row == sh {
+        false
+    } else {
+        row.copy_from_slice(sh);
+        true
+    }
+}
+
 /// The narrow SoA lane store, with the two layout guarantees the vector
 /// JIT (see [`crate::NativeBatchedSimulator`]) compiles against:
 ///
@@ -278,6 +411,11 @@ pub struct BatchedSimulator {
     pub(crate) dirty: Vec<bool>,
     /// Running count of segment evaluations skipped by activity gating.
     pub(crate) cones_skipped: u64,
+    /// Registers grouped by `(enable, reset)` slot pair for the commit.
+    groups: Vec<RegGroup>,
+    /// Scratch: the groups a step found live in its gather phase.
+    live_groups: Vec<u32>,
+    pub(crate) commit_counts: CommitCounts,
     /// Execution histograms, allocated iff `HC_PROFILE` was on at
     /// construction (see `crate::profile`). Opcode counts are per tape
     /// replay, not per lane. Both lane tiers (scalar and AVX2) dispatch
@@ -425,6 +563,7 @@ impl BatchedSimulator {
         }
         let wreg_shadow = vec![0u64; soff];
         let dirty = vec![true; low.segments.len()];
+        let groups = reg_groups(&low);
         let prof = crate::profile::ProfileState::from_config(&low);
         #[cfg(target_arch = "x86_64")]
         let simd =
@@ -451,6 +590,9 @@ impl BatchedSimulator {
             evaluated: false,
             dirty,
             cones_skipped: 0,
+            live_groups: Vec::with_capacity(groups.len()),
+            groups,
+            commit_counts: CommitCounts::default(),
             prof,
             simd,
         })
@@ -1327,147 +1469,61 @@ impl BatchedSimulator {
     /// next-values and memory writes per active lane (double-buffered, as
     /// in the scalar engine). Masked lanes keep their state and cycle
     /// count unchanged.
+    ///
+    /// Registers commit by `(enable, reset)` group. A register whose
+    /// enable and reset are both low holds its value, so a group whose
+    /// enable and reset are low on every active lane is skipped whole:
+    /// its rows are neither gathered nor compared. Group liveness is
+    /// sampled once, before any register commits, and reused by the
+    /// commit, because an enable or reset slot may be another register's
+    /// output that the commit rewrites.
     pub fn step(&mut self) {
         self.eval();
         let l = self.lanes;
         let gate = self.low.gate;
         let mut state_changed = false;
-        let all_active = self.active.iter().all(|&a| a);
-        // Phase 1: gather next values while every register slot still holds
-        // its pre-edge value (registers may feed each other). When every
-        // lane is active (the overwhelmingly common case) the per-lane
-        // reset/enable `Option` tests hoist out of the loop and each
-        // register row moves as a slice, which the compiler turns into
-        // straight vector code.
-        if all_active {
-            for (ri, p) in self.low.nregs.iter().enumerate() {
-                let sh = &mut self.nreg_shadow[ri * l..][..l];
-                let next = &self.narrow[p.next as usize * l..][..l];
-                let cur = &self.narrow[p.slot as usize * l..][..l];
-                match (p.reset, p.en) {
-                    (None, None) => sh.copy_from_slice(next),
-                    (None, Some(e)) => {
-                        let en = &self.narrow[e as usize * l..][..l];
-                        for k in 0..l {
-                            sh[k] = if en[k] != 0 { next[k] } else { cur[k] };
-                        }
-                    }
-                    (Some(r), None) => {
-                        let rst = &self.narrow[r as usize * l..][..l];
-                        for k in 0..l {
-                            sh[k] = if rst[k] != 0 { p.init } else { next[k] };
-                        }
-                    }
-                    (Some(r), Some(e)) => {
-                        let rst = &self.narrow[r as usize * l..][..l];
-                        let en = &self.narrow[e as usize * l..][..l];
-                        for k in 0..l {
-                            sh[k] = if rst[k] != 0 {
-                                p.init
-                            } else if en[k] != 0 {
-                                next[k]
-                            } else {
-                                cur[k]
-                            };
-                        }
-                    }
-                }
-            }
-        } else {
-            for (ri, p) in self.low.nregs.iter().enumerate() {
-                for lane in 0..l {
-                    if !self.active[lane] {
-                        continue;
-                    }
-                    let reset = p
-                        .reset
-                        .is_some_and(|r| self.narrow[r as usize * l + lane] != 0);
-                    self.nreg_shadow[ri * l + lane] = if reset {
-                        p.init
-                    } else if p.en.is_none_or(|e| self.narrow[e as usize * l + lane] != 0) {
-                        self.narrow[p.next as usize * l + lane]
-                    } else {
-                        self.narrow[p.slot as usize * l + lane]
-                    };
-                }
-            }
-        }
-        for (ri, p) in self.low.wregs.iter().enumerate() {
-            let words = self.wwords[p.slot as usize];
-            let sb = self.wreg_shadow_base[ri];
-            let slot_b = self.wbase[p.slot as usize];
-            let next_b = self.wbase[p.next as usize];
-            let init_o = self.wreg_init_off[ri];
-            // Same hoisting for wide registers: the word-major, lane-minor
-            // layout makes a whole register row (`words * l`) contiguous.
-            if all_active {
-                match (p.reset, p.en) {
-                    (None, None) => {
-                        let (dst, src) = (sb, next_b);
-                        self.wreg_shadow[dst..dst + words * l]
-                            .copy_from_slice(&self.wide[src..src + words * l]);
-                    }
-                    (None, Some(e)) => {
-                        let en = &self.narrow[e as usize * l..][..l];
-                        for w in 0..words {
-                            let sh = &mut self.wreg_shadow[sb + w * l..][..l];
-                            let next = &self.wide[next_b + w * l..][..l];
-                            let cur = &self.wide[slot_b + w * l..][..l];
-                            for k in 0..l {
-                                sh[k] = if en[k] != 0 { next[k] } else { cur[k] };
-                            }
-                        }
-                    }
-                    (Some(r), None) => {
-                        let rst = &self.narrow[r as usize * l..][..l];
-                        for w in 0..words {
-                            let iw = self.wreg_init_words[init_o + w];
-                            let sh = &mut self.wreg_shadow[sb + w * l..][..l];
-                            let next = &self.wide[next_b + w * l..][..l];
-                            for k in 0..l {
-                                sh[k] = if rst[k] != 0 { iw } else { next[k] };
-                            }
-                        }
-                    }
-                    (Some(r), Some(e)) => {
-                        let rst = &self.narrow[r as usize * l..][..l];
-                        let en = &self.narrow[e as usize * l..][..l];
-                        for w in 0..words {
-                            let iw = self.wreg_init_words[init_o + w];
-                            let sh = &mut self.wreg_shadow[sb + w * l..][..l];
-                            let next = &self.wide[next_b + w * l..][..l];
-                            let cur = &self.wide[slot_b + w * l..][..l];
-                            for k in 0..l {
-                                sh[k] = if rst[k] != 0 {
-                                    iw
-                                } else if en[k] != 0 {
-                                    next[k]
-                                } else {
-                                    cur[k]
-                                };
-                            }
-                        }
-                    }
-                }
+        let masked = (!self.active.iter().all(|&a| a)).then_some(&self.active[..]);
+        // Phase 1: sample each group's liveness and gather the live
+        // groups' next values while every register slot still holds its
+        // pre-edge value (registers may feed each other).
+        let mut live = std::mem::take(&mut self.live_groups);
+        live.clear();
+        for (gi, g) in self.groups.iter().enumerate() {
+            let en = g.en.map(|e| &self.narrow[e as usize * l..][..l]);
+            let rst = g.reset.map(|r| &self.narrow[r as usize * l..][..l]);
+            let loads = (0..l).any(|k| {
+                self.active[k]
+                    && (en.is_none_or(|en| en[k] != 0) || rst.is_some_and(|rst| rst[k] != 0))
+            });
+            if !loads {
+                self.commit_counts.groups_skipped += 1;
+                self.commit_counts.rows_skipped += g.rows();
                 continue;
             }
-            for w in 0..words {
-                let iw = self.wreg_init_words[init_o + w];
-                for lane in 0..l {
-                    if !self.active[lane] {
-                        continue;
-                    }
-                    let reset = p
-                        .reset
-                        .is_some_and(|r| self.narrow[r as usize * l + lane] != 0);
-                    self.wreg_shadow[sb + w * l + lane] = if reset {
-                        iw
-                    } else if p.en.is_none_or(|e| self.narrow[e as usize * l + lane] != 0) {
-                        self.wide[next_b + w * l + lane]
-                    } else {
-                        self.wide[slot_b + w * l + lane]
-                    };
-                }
+            live.push(gi as u32);
+            self.commit_counts.rows += g.rows();
+            for &ri in &g.nregs {
+                let p = &self.low.nregs[ri as usize];
+                gather_row(
+                    &mut self.nreg_shadow[ri as usize * l..][..l],
+                    &self.narrow[p.next as usize * l..][..l],
+                    &self.narrow[p.slot as usize * l..][..l],
+                    std::slice::from_ref(&p.init),
+                    (en, rst),
+                    masked,
+                );
+            }
+            for &ri in &g.wregs {
+                let (ri, p) = (ri as usize, &self.low.wregs[ri as usize]);
+                let n = self.wwords[p.slot as usize] * l;
+                gather_row(
+                    &mut self.wreg_shadow[self.wreg_shadow_base[ri]..][..n],
+                    &self.wide[self.wbase[p.next as usize]..][..n],
+                    &self.wide[self.wbase[p.slot as usize]..][..n],
+                    &self.wreg_init_words[self.wreg_init_off[ri]..][..n / l],
+                    (en, rst),
+                    masked,
+                );
             }
         }
         // Phase 2: memory writes sample the settled combinational values on
@@ -1529,75 +1585,42 @@ impl BatchedSimulator {
                 }
             }
         }
-        // Phase 3: the simultaneous commit, active lanes only. All-active
-        // rows compare and copy as contiguous slices.
-        for (ri, p) in self.low.nregs.iter().enumerate() {
-            let changed = if all_active {
-                let sh = &self.nreg_shadow[ri * l..][..l];
-                let row = &mut self.narrow[p.slot as usize * l..][..l];
-                if row == sh {
-                    false
-                } else {
-                    row.copy_from_slice(sh);
-                    true
-                }
-            } else {
-                let mut changed = false;
-                for lane in 0..l {
-                    if self.active[lane] {
-                        let v = self.nreg_shadow[ri * l + lane];
-                        if std::mem::replace(&mut self.narrow[p.slot as usize * l + lane], v) != v {
-                            changed = true;
+        // Phase 3: the simultaneous commit of the groups phase 1 found
+        // live. Their shadow rows already hold the current value on masked
+        // lanes, so each row compares and copies as one contiguous slice.
+        for &gi in &live {
+            let g = &self.groups[gi as usize];
+            for &ri in &g.nregs {
+                let (ri, slot) = (ri as usize, self.low.nregs[ri as usize].slot as usize);
+                if commit_row(
+                    &mut self.narrow[slot * l..][..l],
+                    &self.nreg_shadow[ri * l..][..l],
+                ) {
+                    state_changed = true;
+                    if gate {
+                        for &k in &self.low.nreg_cones[ri] {
+                            self.dirty[k as usize] = true;
                         }
                     }
                 }
-                changed
-            };
-            if changed {
-                state_changed = true;
-                if gate {
-                    for &k in &self.low.nreg_cones[ri] {
-                        self.dirty[k as usize] = true;
+            }
+            for &ri in &g.wregs {
+                let (ri, slot) = (ri as usize, self.low.wregs[ri as usize].slot as usize);
+                let n = self.wwords[slot] * l;
+                if commit_row(
+                    &mut self.wide[self.wbase[slot]..][..n],
+                    &self.wreg_shadow[self.wreg_shadow_base[ri]..][..n],
+                ) {
+                    state_changed = true;
+                    if gate {
+                        for &k in &self.low.wreg_cones[ri] {
+                            self.dirty[k as usize] = true;
+                        }
                     }
                 }
             }
         }
-        for (ri, p) in self.low.wregs.iter().enumerate() {
-            let words = self.wwords[p.slot as usize];
-            let sb = self.wreg_shadow_base[ri];
-            let slot_b = self.wbase[p.slot as usize];
-            let changed = if all_active {
-                let sh = &self.wreg_shadow[sb..sb + words * l];
-                let row = &mut self.wide[slot_b..slot_b + words * l];
-                if row == sh {
-                    false
-                } else {
-                    row.copy_from_slice(sh);
-                    true
-                }
-            } else {
-                let mut changed = false;
-                for w in 0..words {
-                    for lane in 0..l {
-                        if self.active[lane] {
-                            let v = self.wreg_shadow[sb + w * l + lane];
-                            if std::mem::replace(&mut self.wide[slot_b + w * l + lane], v) != v {
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-                changed
-            };
-            if changed {
-                state_changed = true;
-                if gate {
-                    for &k in &self.low.wreg_cones[ri] {
-                        self.dirty[k as usize] = true;
-                    }
-                }
-            }
-        }
+        self.live_groups = live;
         for lane in 0..l {
             if self.active[lane] {
                 self.cycles[lane] += 1;
@@ -1661,6 +1684,7 @@ impl Drop for BatchedSimulator {
         if self.cones_skipped > 0 {
             hc_obs::metrics::counter("sim.batched.cones_skipped").add(self.cones_skipped);
         }
+        self.commit_counts.flush_to_metrics("sim.batched");
         if let Some(p) = self.prof.as_deref() {
             p.flush_to_metrics("sim.batched");
         }
@@ -1814,6 +1838,51 @@ mod tests {
             assert_eq!(sim.cycle(lane), 0);
             assert_eq!(sim.get(lane, "count").to_u64(), 0);
         }
+    }
+
+    /// A one-hot ring of three always-loading state registers enables two
+    /// narrow registers on `s0`, one on `s1` and a wide one on `s2`: each
+    /// step commits the ring plus the one live enable group and skips the
+    /// other two, and a step with every lane masked skips every group.
+    #[test]
+    fn commit_skips_idle_enable_groups_exactly() {
+        let mut m = Module::new("onehot");
+        let d = m.input("d", 8);
+        let states: Vec<_> = (0..3)
+            .map(|k| m.reg(format!("s{k}"), 1, Bits::from_u64(1, u64::from(k == 0))))
+            .collect();
+        let q: Vec<_> = states.iter().map(|&s| m.reg_out(s)).collect();
+        for (k, &s) in states.iter().enumerate() {
+            m.connect_reg(s, q[(k + 2) % 3]);
+        }
+        let wide_d = m.zext(d, 96);
+        for (name, en, next) in [("a0", 0, d), ("a1", 0, d), ("b0", 1, d), ("c0", 2, wide_d)] {
+            let width = m.width(next);
+            let r = m.reg(name, width, Bits::zero(width));
+            m.connect_reg(r, next);
+            m.reg_en(r, q[en]);
+            let out = m.reg_out(r);
+            m.output(name, out);
+        }
+        let mut sim = BatchedSimulator::new(m, 4).unwrap();
+        sim.set_all_u64("d", 7);
+        sim.run(3);
+        assert_eq!(
+            sim.commit_counts,
+            CommitCounts {
+                rows: (3 + 2) + (3 + 1) + (3 + 1),
+                rows_skipped: (1 + 1) + (2 + 1) + (2 + 1),
+                groups_skipped: 3 * 2,
+            }
+        );
+        for lane in 0..4 {
+            assert_eq!(sim.peek_reg(lane, "c0").to_u64(), 7);
+            sim.set_active(lane, false);
+        }
+        sim.step();
+        assert_eq!(sim.commit_counts.rows, 13);
+        assert_eq!(sim.commit_counts.rows_skipped, 8 + 7);
+        assert_eq!(sim.commit_counts.groups_skipped, 6 + 4);
     }
 
     #[test]

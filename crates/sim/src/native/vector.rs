@@ -432,6 +432,9 @@ impl Drop for NativeBatchedSimulator {
                 hc_obs::metrics::counter("sim.native_batched.cone_evals")
                     .add(self.report.native_cone_evals);
             }
+            self.sim
+                .commit_counts
+                .flush_to_metrics("sim.native_batched");
             self.sim.cycles.iter_mut().for_each(|c| *c = 0);
             self.sim.cones_skipped = 0;
         }

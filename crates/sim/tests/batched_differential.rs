@@ -105,3 +105,22 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// FSM-and-datapath modules, whose registers share a few one-hot,
+    /// port or register-output enables and resets, through the batched
+    /// engine at 1, 3, 4 and 16 lanes with ragged retirement, against the
+    /// interpreter oracle register by register.
+    #[test]
+    fn batched_fsm_commit_matches_interpreter(
+        regs in proptest::collection::vec(common::fsm_reg_strategy(), 4..24),
+        lane_stims in common::fsm_lanes_strategy(),
+    ) {
+        let module = common::build_fsm(&regs);
+        module.validate().expect("generated module is valid");
+        let mut batched =
+            BatchedSimulator::new(module.clone(), lane_stims.len()).expect("compiler accepts");
+        common::check_fsm_lanes(&module, &mut batched, &lane_stims)?;
+    }
+}

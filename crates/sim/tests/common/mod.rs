@@ -235,3 +235,248 @@ pub fn drive<B: SimBackend>(sim: &mut B, stimulus: &[Stim]) -> Vec<(Bits, Bits, 
     }
     trace
 }
+
+/// One-hot states in [`build_fsm`]'s state ring.
+pub const FSM_STATES: usize = 4;
+
+/// A recipe for one datapath register of [`build_fsm`]. Indices are taken
+/// modulo the length of the pool they pick from.
+#[derive(Clone, Debug)]
+pub struct FsmReg {
+    /// `WIDE` bits instead of `WIDTH`.
+    pub wide: bool,
+    /// Enable source: a one-hot state bit, the `en` input, `go & s1`, or
+    /// none.
+    pub en: u8,
+    /// Reset source: none, the `rst` input, or the last state bit.
+    pub reset: u8,
+    /// Next-value operation.
+    pub op: u8,
+    pub a: usize,
+    pub b: usize,
+    pub init: i64,
+}
+
+pub fn fsm_reg_strategy() -> impl Strategy<Value = FsmReg> {
+    (
+        (any::<bool>(), any::<u8>(), any::<u8>()),
+        (any::<u8>(), any::<usize>(), any::<usize>()),
+        -2048i64..2048,
+    )
+        .prop_map(|((wide, en, reset), (op, a, b), init)| FsmReg {
+            wide,
+            en,
+            reset,
+            op,
+            a,
+            b,
+            init,
+        })
+}
+
+/// Builds an FSM-and-datapath module in the shape sequential HLS emits: a
+/// ring of `FSM_STATES` one-bit state registers (one-hot, advanced by the
+/// `go` input, reset by `rst`) whose outputs enable many narrow and wide
+/// datapath registers. Enables and resets are mostly other registers'
+/// outputs or input ports, so many registers share a few enable slots and
+/// a reset can be high while its register's enable is low. Every register
+/// drives an output of the same name.
+pub fn build_fsm(regs: &[FsmReg]) -> Module {
+    let mut m = Module::new("fsm");
+    let go = m.input("go", 1);
+    let en_in = m.input("en", 1);
+    let rst = m.input("rst", 1);
+    let mut narrow: Vec<NodeId> = vec![m.input("d0", WIDTH), m.input("d1", WIDTH)];
+    let mut wide: Vec<NodeId> = vec![m.input("wd", WIDE)];
+
+    let states: Vec<_> = (0..FSM_STATES)
+        .map(|k| m.reg(format!("s{k}"), 1, Bits::from_u64(1, u64::from(k == 0))))
+        .collect();
+    let state_q: Vec<NodeId> = states.iter().map(|&s| m.reg_out(s)).collect();
+    for (k, &s) in states.iter().enumerate() {
+        m.connect_reg(s, state_q[(k + FSM_STATES - 1) % FSM_STATES]);
+        m.reg_en(s, go);
+        m.reg_reset(s, rst);
+    }
+    let go_s1 = m.binary(BinaryOp::And, go, state_q[1], 1);
+    let mut enables = state_q.clone();
+    enables.extend([en_in, go_s1]);
+
+    let ids: Vec<_> = regs
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let width = if r.wide { WIDE } else { WIDTH };
+            let id = m.reg(format!("r{i}"), width, Bits::from_i64(width, r.init));
+            let q = m.reg_out(id);
+            if r.wide { &mut wide } else { &mut narrow }.push(q);
+            (id, q)
+        })
+        .collect();
+    for (i, (r, &(id, q))) in regs.iter().zip(&ids).enumerate() {
+        let pick = |i: usize| narrow[i % narrow.len()];
+        let pick_w = |i: usize| wide[i % wide.len()];
+        let next = if r.wide {
+            match r.op % 4 {
+                0 => m.binary(BinaryOp::Add, pick_w(r.a), pick_w(r.b), WIDE),
+                1 => m.binary(BinaryOp::Xor, pick_w(r.a), pick_w(r.b), WIDE),
+                2 => m.sext(pick(r.a), WIDE),
+                _ => {
+                    let sel = m.slice(pick(r.b), 0, 1);
+                    m.mux(sel, pick_w(r.a), pick_w(r.b))
+                }
+            }
+        } else {
+            match r.op % 4 {
+                0 => m.binary(BinaryOp::Add, pick(r.a), pick(r.b), WIDTH),
+                1 => m.binary(BinaryOp::Xor, pick(r.a), pick(r.b), WIDTH),
+                2 => m.binary(BinaryOp::Sub, pick(r.a), pick(r.b), WIDTH),
+                // Slice offsets cross the u64 word boundary of the store.
+                _ => m.slice(pick_w(r.a), (r.b % 6) as u32 * 12, WIDTH),
+            }
+        };
+        m.connect_reg(id, next);
+        if let Some(&en) = enables.get(usize::from(r.en) % (enables.len() + 1)) {
+            m.reg_en(id, en);
+        }
+        match r.reset % 4 {
+            2 => m.reg_reset(id, rst),
+            3 => m.reg_reset(id, state_q[FSM_STATES - 1]),
+            _ => {}
+        }
+        m.output(format!("r{i}"), q);
+    }
+    m
+}
+
+/// One cycle of [`build_fsm`] stimulus: `go`, `en`, `rst`, the two narrow
+/// data inputs and the low word of the wide one.
+pub type FsmStim = (bool, bool, bool, u64, u64, u64);
+
+pub fn fsm_stim_strategy() -> impl Strategy<Value = FsmStim> {
+    let odds = |percent: u8| (0u8..100).prop_map(move |x| x < percent);
+    (
+        odds(70),
+        odds(30),
+        odds(15),
+        0u64..4096,
+        0u64..4096,
+        any::<u64>(),
+    )
+}
+
+/// Per-lane stimulus for the FSM checks: 1, 3, 4 or 16 lanes (the
+/// degenerate, ragged, one-vector and measurement-default batches), each
+/// lane with its own stream length so lanes retire at different cycles.
+pub fn fsm_lanes_strategy() -> impl Strategy<Value = Vec<Vec<FsmStim>>> {
+    prop_oneof![Just(1usize), Just(3), Just(4), Just(16)].prop_flat_map(|lanes| {
+        proptest::collection::vec(proptest::collection::vec(fsm_stim_strategy(), 1..12), lanes)
+    })
+}
+
+/// The lane-batched engines, as [`check_fsm_lanes`] drives them.
+pub trait LaneEngine {
+    fn set_u64(&mut self, lane: usize, name: &str, value: u64);
+    fn set(&mut self, lane: usize, name: &str, value: Bits);
+    fn step(&mut self);
+    fn set_active(&mut self, lane: usize, active: bool);
+    fn peek_reg(&self, lane: usize, name: &str) -> Bits;
+    fn cycle(&self, lane: usize) -> u64;
+}
+
+macro_rules! lane_engine {
+    ($t:ty) => {
+        impl LaneEngine for $t {
+            fn set_u64(&mut self, lane: usize, name: &str, value: u64) {
+                <$t>::set_u64(self, lane, name, value);
+            }
+            fn set(&mut self, lane: usize, name: &str, value: Bits) {
+                <$t>::set(self, lane, name, value);
+            }
+            fn step(&mut self) {
+                <$t>::step(self);
+            }
+            fn set_active(&mut self, lane: usize, active: bool) {
+                <$t>::set_active(self, lane, active);
+            }
+            fn peek_reg(&self, lane: usize, name: &str) -> Bits {
+                <$t>::peek_reg(self, lane, name)
+            }
+            fn cycle(&self, lane: usize) -> u64 {
+                <$t>::cycle(self, lane)
+            }
+        }
+    };
+}
+lane_engine!(hc_sim::BatchedSimulator);
+lane_engine!(hc_sim::NativeBatchedSimulator);
+
+fn fsm_wide(wlo: u64) -> Bits {
+    let mut w = Bits::zero(WIDE);
+    w.deposit_u64(0, 64, wlo);
+    w.deposit_u64(64, WIDE - 64, wlo.rotate_left(17));
+    w
+}
+
+/// Drives `engine` (built from `module` with `lane_stims.len()` lanes) in
+/// lockstep and every lane alone through the interpreter oracle, comparing
+/// every register on every lane after every cycle. A lane is masked out
+/// when its stream ends; from then on it is driven with `go` and `en`
+/// high and `rst` low, so enables go high on masked lanes only, and its
+/// registers and cycle counter must stay frozen.
+pub fn check_fsm_lanes<E: LaneEngine>(
+    module: &Module,
+    engine: &mut E,
+    lane_stims: &[Vec<FsmStim>],
+) -> Result<(), TestCaseError> {
+    let names: Vec<String> = module.regs().iter().map(|r| r.name.clone()).collect();
+    // Oracle register snapshots per lane, one per completed cycle.
+    let mut expected: Vec<Vec<Vec<Bits>>> = Vec::new();
+    for stim in lane_stims {
+        let mut oracle = hc_sim::Simulator::new(module.clone()).expect("interpreter accepts");
+        let mut snaps = Vec::new();
+        for &(go, en, rst, d0, d1, wlo) in stim {
+            oracle.set_u64("go", u64::from(go));
+            oracle.set_u64("en", u64::from(en));
+            oracle.set_u64("rst", u64::from(rst));
+            oracle.set_u64("d0", d0);
+            oracle.set_u64("d1", d1);
+            oracle.set("wd", fsm_wide(wlo));
+            oracle.step();
+            snaps.push(names.iter().map(|n| oracle.peek_reg(n)).collect());
+        }
+        expected.push(snaps);
+    }
+    let longest = lane_stims.iter().map(Vec::len).max().unwrap_or(0);
+    for t in 0..longest {
+        for (lane, stim) in lane_stims.iter().enumerate() {
+            let (go, en, rst, d0, d1, wlo) =
+                stim.get(t).copied().unwrap_or((true, true, false, 1, 2, 3));
+            engine.set_u64(lane, "go", u64::from(go));
+            engine.set_u64(lane, "en", u64::from(en));
+            engine.set_u64(lane, "rst", u64::from(rst));
+            engine.set_u64(lane, "d0", d0);
+            engine.set_u64(lane, "d1", d1);
+            engine.set(lane, "wd", fsm_wide(wlo));
+        }
+        engine.step();
+        for (lane, stim) in lane_stims.iter().enumerate() {
+            let done = t.min(stim.len() - 1);
+            for (n, want) in names.iter().zip(&expected[lane][done]) {
+                prop_assert_eq!(
+                    &engine.peek_reg(lane, n),
+                    want,
+                    "lane {} register {} after cycle {}",
+                    lane,
+                    n,
+                    t
+                );
+            }
+            prop_assert_eq!(engine.cycle(lane), done as u64 + 1, "lane {} cycle", lane);
+            if t + 1 == stim.len() {
+                engine.set_active(lane, false);
+            }
+        }
+    }
+    Ok(())
+}

@@ -298,3 +298,24 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// The FSM-and-datapath check of `batched_differential` through the
+    /// vector tier (the commit it delegates to is the batched engine's):
+    /// registers sharing a few one-hot, port or register-output enables
+    /// and resets, 1, 3, 4 and 16 lanes with ragged retirement, against
+    /// the interpreter oracle register by register. Under
+    /// `HC_NO_NATIVE_BATCHED=1` this runs the forced-fallback engine.
+    #[test]
+    fn vector_tier_fsm_commit_matches_interpreter(
+        regs in proptest::collection::vec(common::fsm_reg_strategy(), 4..24),
+        lane_stims in common::fsm_lanes_strategy(),
+    ) {
+        let module = common::build_fsm(&regs);
+        module.validate().expect("generated module is valid");
+        let mut vector = NativeBatchedSimulator::new(module.clone(), lane_stims.len())
+            .expect("compiler accepts");
+        common::check_fsm_lanes(&module, &mut vector, &lane_stims)?;
+    }
+}

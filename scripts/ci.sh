@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release
+# The store gates below run hc-store's checker, which the root build
+# does not produce.
+cargo build --release -p hc-store --bin storecheck
 
 echo "== cargo test"
 cargo test --workspace -q
@@ -77,6 +80,8 @@ if [ "$(uname -m)" = "x86_64" ] && grep -q avx2 /proc/cpuinfo; then
     END { if (!seen) { print "native_batched_speedup_vs_batched missing from BENCH_sim.json"; exit 1 } }
   ' BENCH_sim.json
   echo "== forced-fallback A/B twin (differential suite under HC_NO_NATIVE_BATCHED=1)"
+  # The whole file runs, including the FSM commit proptest
+  # (vector_tier_fsm_commit_matches_interpreter).
   HC_NO_NATIVE_BATCHED=1 cargo test -q -p hc-sim --test native_batched_differential
 else
   echo "skipping vector JIT gate: host has no AVX2 (engine falls back to the interpreted batched path)"
@@ -159,6 +164,14 @@ awk -v base="$baseline_rate" -v traced="$traced_rate" 'BEGIN {
   }
   printf "tracing overhead OK: %.0f -> %.0f cycles/sec (%.3fx)\n", base, traced, ratio
 }'
+
+echo "== traced table2 (HC_TRACE must flush from every tool, not just perfsnap)"
+# Run in a scratch directory so the traced run leaves table2.csv alone.
+repo="$PWD"
+trace_dir="$(mktemp -d)"
+(cd "$trace_dir" && HC_TRACE=trace.json "$repo/target/release/table2" >/dev/null)
+./target/release/tracecheck "$trace_dir/trace.json"
+rm -rf "$trace_dir"
 
 echo "== hc-serve load test (A/B: sharded front-half cache vs single mutex)"
 # Two separate processes because the shard count is pinned at first cache
