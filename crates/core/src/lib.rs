@@ -12,8 +12,10 @@
 //!   twice (normal and `maxdsp=0`), and *simulated* through its stream
 //!   interface to measure latency `T_L` and periodicity `T_P`; throughput
 //!   is `ν_max / T_P` (or the PCIe bound for the MaxCompiler-style
-//!   system designs). Bit-exactness against the golden fixed-point IDCT
-//!   is asserted during measurement.
+//!   system designs). Bit-exactness against the workload's golden model
+//!   is asserted during measurement, on the one pipeline
+//!   ([`measure`]) that Table II, Fig. 1, the kernel matrix and hc-serve
+//!   share.
 //! * **Subjects** ([`entries`]): the seven language/tool pairs of
 //!   Table I, each with its initial and optimized design and its DSE
 //!   configuration space (19 XLS stage counts, 12 Bambu configurations,

@@ -10,7 +10,8 @@
 //!   cache's key, so the tiers never disagree about identity.
 //! * [`KIND_MEASURE`] — one sweep point's [`Measurement`], keyed by the
 //!   front-half key plus everything else the result depends on: the
-//!   stimulus size and the interface/throughput model. The design's
+//!   stimulus size, the workload whose golden model it was verified
+//!   against, and the interface/throughput model. The design's
 //!   `label` and `loc` are *metadata*, not derived from the module, so
 //!   they are patched in from the live [`Design`](crate::entries::Design)
 //!   on load rather than trusted from disk.
@@ -30,7 +31,7 @@ use hc_store::{codec, Store, StoreOptions};
 
 use crate::cache::FrontHalf;
 use crate::entries::DesignInterface;
-use crate::measure::Measurement;
+use crate::measure::{Measurement, IDCT_WORKLOAD};
 
 /// Record kind for front-half artifacts.
 pub const KIND_FRONT: u8 = 1;
@@ -71,13 +72,21 @@ pub fn front_key(key: (u128, u8)) -> [u8; 17] {
 }
 
 /// The store key of a measurement: the front-half key plus the stimulus
-/// size and interface model. `nblocks` is clamped to the measurement
-/// path's effective minimum of 2 so equivalent requests share a record.
-pub fn measure_key(key: (u128, u8), nblocks: usize, interface: &DesignInterface) -> Vec<u8> {
+/// size, the workload whose golden model the record was verified against
+/// (`"idct8"` for Table II and Fig. 1, the kernel id for matrix cells) and
+/// the interface model. `nblocks` is clamped to the measurement path's
+/// effective minimum of 2 so equivalent requests share a record.
+pub fn measure_key(
+    key: (u128, u8),
+    nblocks: usize,
+    workload: &str,
+    interface: &DesignInterface,
+) -> Vec<u8> {
     let mut e = Enc::new();
     e.u128(key.0);
     e.u8(key.1);
     e.u32(nblocks.max(2) as u32);
+    e.str(workload);
     match interface {
         DesignInterface::Axis => e.u8(0),
         DesignInterface::Stream { bits_per_op } => {
@@ -165,13 +174,14 @@ pub fn load_measurement_in(store: &Store, key: &[u8]) -> Option<Measurement> {
 
 /// The store key a [`measure`](crate::measure::measure) call for this
 /// design will use — content hash + active pass config + stimulus size +
-/// interface model. Costs one structural hash of the module.
+/// the IDCT workload + interface model. Costs one structural hash of the
+/// module.
 pub fn design_measure_key(design: &crate::entries::Design, nblocks: usize) -> Vec<u8> {
     let key = (
         hc_rtl::hash::content_hash(&design.module),
         hc_rtl::passes::PassConfig::from_env().key(),
     );
-    measure_key(key, nblocks, &design.interface)
+    measure_key(key, nblocks, IDCT_WORKLOAD, &design.interface)
 }
 
 /// True when a measurement record exists for `key` — lets hc-serve's
@@ -256,14 +266,19 @@ mod tests {
         let (store, dir) = temp_store("meas");
         let design = verilog_design();
         let m = crate::measure::measure(&design, 2);
-        let key = (hc_rtl::hash::content_hash(&design.module), 0);
-        let k_axis = measure_key(key, 2, &DesignInterface::Axis);
-        let k_stream = measure_key(key, 2, &DesignInterface::Stream { bits_per_op: 768 });
-        let k_more_blocks = measure_key(key, 3, &DesignInterface::Axis);
+        let key = crate::cache::front_half(&design.module).key;
+        let idct = IDCT_WORKLOAD;
+        let k_axis = measure_key(key, 2, idct, &DesignInterface::Axis);
+        let k_stream = measure_key(key, 2, idct, &DesignInterface::Stream { bits_per_op: 768 });
+        let k_more_blocks = measure_key(key, 3, idct, &DesignInterface::Axis);
+        let k_other_golden = measure_key(key, 2, "dct8", &DesignInterface::Axis);
         assert_ne!(k_axis, k_stream);
         assert_ne!(k_axis, k_more_blocks);
+        assert_ne!(k_axis, k_other_golden);
         // nblocks 0, 1 and 2 alias (the back half clamps to 2).
-        assert_eq!(k_axis, measure_key(key, 0, &DesignInterface::Axis));
+        assert_eq!(k_axis, measure_key(key, 0, idct, &DesignInterface::Axis));
+        // `measure` files its record under the IDCT workload.
+        assert_eq!(design_measure_key(&design, 2), k_axis);
 
         save_measurement_in(&store, &k_axis, &m);
         let back = load_measurement_in(&store, &k_axis).expect("stored measurement loads");
@@ -277,6 +292,7 @@ mod tests {
             "metadata not trusted from disk"
         );
         assert!(load_measurement_in(&store, &k_stream).is_none());
+        assert!(load_measurement_in(&store, &k_other_golden).is_none());
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -284,20 +300,13 @@ mod tests {
     #[test]
     fn corrupt_payloads_read_as_misses() {
         let (store, dir) = temp_store("corrupt");
+        let k_measure = measure_key((42, 0), 2, IDCT_WORKLOAD, &DesignInterface::Axis);
         store
             .put(KIND_FRONT, &front_key((42, 0)), b"garbage")
             .unwrap();
-        store
-            .put(
-                KIND_MEASURE,
-                &measure_key((42, 0), 2, &DesignInterface::Axis),
-                b"junk",
-            )
-            .unwrap();
+        store.put(KIND_MEASURE, &k_measure, b"junk").unwrap();
         assert!(load_front_in(&store, (42, 0)).is_none());
-        assert!(
-            load_measurement_in(&store, &measure_key((42, 0), 2, &DesignInterface::Axis)).is_none()
-        );
+        assert!(load_measurement_in(&store, &k_measure).is_none());
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

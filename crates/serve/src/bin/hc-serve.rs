@@ -16,6 +16,8 @@ fn usage() -> ! {
 }
 
 fn main() {
+    // Bound first so it drops last: the trace is written after the drain.
+    let _trace = hc_core::obs::trace::flush_on_exit();
     let mut opts = Options::from_config(&hc_core::obs::config());
     opts.addr = "127.0.0.1:8080".to_owned();
     let mut args = std::env::args().skip(1);

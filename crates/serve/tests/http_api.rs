@@ -444,6 +444,32 @@ fn deeply_nested_body_gets_400_bad_json() {
     server.shutdown();
 }
 
+/// 200k nested `(` of Verilog is about 400 KB, under the body cap; the
+/// frontend must answer `422 verilog_error` instead of overflowing the
+/// stack of the thread that parses it.
+#[test]
+fn deeply_nested_verilog_gets_422_verilog_error() {
+    let server = test_server(1, 4);
+    let source = format!(
+        "module m (input a, output y); assign y = {}a{}; endmodule",
+        "(".repeat(200_000),
+        ")".repeat(200_000)
+    );
+    let req = body(&format!(r#"{{"frontend":"verilog","source":"{source}"}}"#));
+    let r = roundtrip(server.addr(), "POST", "/v1/synth", Some(&req)).unwrap();
+    assert_eq!(r.status, 422, "{}", r.body);
+    assert_eq!(
+        r.body
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str),
+        Some("verilog_error")
+    );
+    let r = roundtrip(server.addr(), "GET", "/healthz", None).unwrap();
+    assert_eq!(r.status, 200, "the server survives");
+    server.shutdown();
+}
+
 /// Backpressure: a tiny queue behind a wedged worker must answer 429 with
 /// Retry-After instead of queueing unboundedly.
 ///

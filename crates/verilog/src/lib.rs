@@ -51,7 +51,7 @@ mod parser;
 pub use ast::{Design, VModule};
 pub use elab::elaborate;
 pub use error::VerilogError;
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING_DEPTH};
 
 /// Counts lines of code the way the paper does: excluding blank lines and
 /// comment-only lines (`//` and `/* */`).

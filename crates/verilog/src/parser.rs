@@ -4,17 +4,29 @@ use crate::ast::*;
 use crate::error::VerilogError;
 use crate::lexer::{lex, SpannedTok, Tok};
 
+/// Deepest nesting the parser accepts, counted across expressions
+/// (parentheses, concatenations, selects, unary operators, `?:` arms) and
+/// statements (`begin`, `if`, `case` bodies) together. The parser recurses
+/// once per level, so without a cap a few hundred kilobytes of `(` overflow
+/// a thread's stack; past it, parsing fails with a [`VerilogError`].
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 /// Parses a source file into a [`Design`].
 ///
 /// # Errors
 ///
 /// Returns a [`VerilogError`] with a line number on any lexical or
-/// syntactic problem.
+/// syntactic problem, including nesting deeper than
+/// [`MAX_NESTING_DEPTH`].
 pub fn parse(source: &str) -> Result<Design, VerilogError> {
     let mut span = hc_obs::span("parse").with("source_bytes", source.len());
     let toks = lex(source)?;
     span.attach("tokens", toks.len());
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let mut modules = Vec::new();
     while !p.at_eof() {
         modules.push(p.module()?);
@@ -26,6 +38,8 @@ pub fn parse(source: &str) -> Result<Design, VerilogError> {
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Current expression + statement nesting (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -51,6 +65,21 @@ impl Parser {
 
     fn err(&self, msg: impl Into<String>) -> VerilogError {
         VerilogError::at(self.line(), msg.into())
+    }
+
+    /// Runs one recursive production a level deeper, failing instead of
+    /// recursing past [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        production: impl FnOnce(&mut Self) -> Result<T, VerilogError>,
+    ) -> Result<T, VerilogError> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let result = production(self);
+        self.depth -= 1;
+        result
     }
 
     fn at_punct(&self, p: &str) -> bool {
@@ -326,6 +355,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, VerilogError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, VerilogError> {
         let line = self.line();
         if self.eat_kw("begin") {
             let mut stmts = Vec::new();
@@ -400,22 +433,24 @@ impl Parser {
     // ------------------------------------------------------------------
 
     pub(crate) fn expr(&mut self) -> Result<Expr, VerilogError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, VerilogError> {
         let cond = self.binary(0)?;
         if self.eat_punct("?") {
-            let t = self.ternary()?;
+            let t = self.expr()?;
             self.expect_punct(":")?;
-            let f = self.ternary()?;
+            let f = self.expr()?;
             Ok(Expr::Ternary(Box::new(cond), Box::new(t), Box::new(f)))
         } else {
             Ok(cond)
         }
     }
 
-    fn binop_at(&self, level: usize) -> Option<BinOp> {
+    /// The binary operator at the cursor, with its precedence level
+    /// (0 binds loosest).
+    fn binop(&self) -> Option<(usize, BinOp)> {
         let table: &[&[(&str, BinOp)]] = &[
             &[("||", BinOp::LogicOr)],
             &[("&&", BinOp::LogicAnd)],
@@ -438,20 +473,19 @@ impl Parser {
             &[("+", BinOp::Add), ("-", BinOp::Sub)],
             &[("*", BinOp::Mul)],
         ];
-        table.get(level).and_then(|ops| {
+        table.iter().enumerate().find_map(|(level, ops)| {
             ops.iter()
                 .find(|(p, _)| self.at_punct(p))
-                .map(|&(_, op)| op)
+                .map(|&(_, op)| (level, op))
         })
     }
 
-    fn binary(&mut self, level: usize) -> Result<Expr, VerilogError> {
-        const MAX_LEVEL: usize = 10;
-        if level >= MAX_LEVEL {
-            return self.unary();
-        }
-        let mut lhs = self.binary(level + 1)?;
-        while let Some(op) = self.binop_at(level) {
+    /// Precedence climbing: a left-associative chain of operators binding
+    /// at least as tightly as `min_level`. One stack frame per operand,
+    /// not one per precedence level, keeps each nesting level cheap.
+    fn binary(&mut self, min_level: usize) -> Result<Expr, VerilogError> {
+        let mut lhs = self.unary()?;
+        while let Some((level, op)) = self.binop().filter(|&(l, _)| l >= min_level) {
             self.bump();
             let rhs = self.binary(level + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -470,7 +504,7 @@ impl Parser {
         ] {
             if self.at_punct(p) {
                 self.bump();
-                let operand = self.unary()?;
+                let operand = self.nested(Self::unary)?;
                 return Ok(Expr::Unary(op, Box::new(operand)));
             }
         }
@@ -616,6 +650,73 @@ mod tests {
             } => {}
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_nesting_depth() {
+        // `expr` itself is one level, so an assign's right-hand side can
+        // hold MAX_NESTING_DEPTH - 1 parentheses.
+        let parens = |n: usize| {
+            format!(
+                "module m (input a, output y); assign y = {}a{}; endmodule",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert!(parse(&parens(MAX_NESTING_DEPTH - 1)).is_ok());
+        let err = parse(&parens(MAX_NESTING_DEPTH)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        let unary = format!(
+            "module m (input a, output y); assign y = {}a; endmodule",
+            "~".repeat(MAX_NESTING_DEPTH)
+        );
+        assert!(parse(&unary).is_err());
+        let blocks = format!(
+            "module m (input clk, input a, output reg y); always @(posedge clk) {}y <= a;{} endmodule",
+            "begin ".repeat(MAX_NESTING_DEPTH + 1),
+            " end".repeat(MAX_NESTING_DEPTH + 1)
+        );
+        assert!(parse(&blocks).is_err());
+    }
+
+    /// 200k nested `(` is about 400 KB, well under hc-serve's body cap;
+    /// parsing it on a 2 MiB connection-thread stack must fail cleanly.
+    #[test]
+    fn two_hundred_thousand_parens_return_err_on_a_2mib_stack() {
+        let source = format!(
+            "module m (input a, output y); assign y = {}a{}; endmodule",
+            "(".repeat(200_000),
+            ")".repeat(200_000)
+        );
+        let failed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&source).is_err())
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread did not overflow or panic");
+        assert!(failed);
+    }
+
+    /// The deepest source the parser accepts also elaborates on a 2 MiB
+    /// stack, so the cap protects the whole frontend, not just the parser.
+    #[test]
+    fn deepest_accepted_nesting_elaborates_on_a_2mib_stack() {
+        let depth = MAX_NESTING_DEPTH - 1;
+        let source = format!(
+            "module m (input [7:0] a, output [7:0] y); assign y = {}a{}; endmodule",
+            "(~".repeat(depth / 2),
+            ")".repeat(depth / 2)
+        );
+        let ok = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let design = parse(&source).expect("within the cap");
+                crate::elaborate(&design, "m").is_ok()
+            })
+            .expect("spawn parser thread")
+            .join()
+            .expect("frontend thread did not overflow or panic");
+        assert!(ok);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use hls_vs_hc::core::measure::measure;
 use hls_vs_hc::core::tool::ToolId;
 
 fn main() {
+    let _trace = hls_vs_hc::obs::trace::flush_on_exit();
     println!("XLS-like stage sweep (the paper tried 19 XLS configurations):\n");
     println!(
         "{:<14} {:>9} {:>9} {:>8} {:>8} {:>8}",

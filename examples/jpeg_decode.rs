@@ -12,6 +12,7 @@ use hls_vs_hc::axi::StreamHarness;
 use hls_vs_hc::idct::{fixed, reference, Block};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let _trace = hls_vs_hc::obs::trace::flush_on_exit();
     // Synthesize a 64x64 "photograph": smooth gradients plus texture.
     let image: Vec<Vec<i32>> = (0..64)
         .map(|y| {

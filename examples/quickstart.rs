@@ -10,6 +10,7 @@ use hls_vs_hc::rtl::passes::optimize;
 use hls_vs_hc::synth::{synthesize, Device, SynthOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let _trace = hls_vs_hc::obs::trace::flush_on_exit();
     // 1. Elaborate real Verilog source (crates/verilog/designs/*.v) into
     //    the shared RTL IR.
     let module = hls_vs_hc::verilog::designs::initial_design()?;

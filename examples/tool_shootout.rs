@@ -9,6 +9,7 @@ use hls_vs_hc::core::measure::measure;
 use hls_vs_hc::core::metrics;
 
 fn main() {
+    let _trace = hls_vs_hc::obs::trace::flush_on_exit();
     let verilog = verilog_entry();
     let vhls = vivado_hls_entry();
 

@@ -165,12 +165,20 @@ awk -v base="$baseline_rate" -v traced="$traced_rate" 'BEGIN {
   printf "tracing overhead OK: %.0f -> %.0f cycles/sec (%.3fx)\n", base, traced, ratio
 }'
 
-echo "== traced table2 (HC_TRACE must flush from every tool, not just perfsnap)"
-# Run in a scratch directory so the traced run leaves table2.csv alone.
+echo "== traced table2 + fig1 (HC_TRACE must flush from every tool, not just perfsnap)"
+# Run in a scratch directory so the traced runs leave the committed CSVs
+# alone; then compare what they wrote against those CSVs: Table II and
+# Fig. 1 go through the one measurement pipeline and must reproduce
+# byte for byte.
 repo="$PWD"
 trace_dir="$(mktemp -d)"
-(cd "$trace_dir" && HC_TRACE=trace.json "$repo/target/release/table2" >/dev/null)
-./target/release/tracecheck "$trace_dir/trace.json"
+(cd "$trace_dir" && HC_TRACE=table2.trace.json "$repo/target/release/table2" >/dev/null)
+(cd "$trace_dir" && HC_TRACE=fig1.trace.json "$repo/target/release/fig1" >/dev/null)
+./target/release/tracecheck "$trace_dir/table2.trace.json"
+./target/release/tracecheck "$trace_dir/fig1.trace.json"
+cmp "$trace_dir/table2.csv" table2.csv
+cmp "$trace_dir/fig1.csv" fig1.csv
+echo "table2.csv and fig1.csv reproduced byte for byte"
 rm -rf "$trace_dir"
 
 echo "== hc-serve load test (A/B: sharded front-half cache vs single mutex)"
