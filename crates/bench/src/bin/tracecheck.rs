@@ -4,8 +4,11 @@
 //! asserts the trace (a) parses as JSON — with a small self-contained
 //! parser, since the workspace is offline and vendors no JSON crate —
 //! (b) uses the Chrome "complete event" shape (`ph: "X"` with `ts`/`dur`
-//! per event), and (c) covers the whole measurement pipeline: every
-//! expected stage span must appear at least once.
+//! per event), (c) covers the whole measurement pipeline: every
+//! expected stage span must appear at least once, and (d) attributes every
+//! `optimize` span's time to its passes: each carries `const_fold_us`,
+//! `strength_us`, `cse_us` and `dce_us`, none negative, summing to at most
+//! the span's `dur`.
 //!
 //! Usage: `tracecheck <trace.json> [required-span ...]`
 //! (default required spans: parse, elaborate, optimize, synthesize,
@@ -268,6 +271,9 @@ fn check(doc: &Json, required: &[String]) -> Result<(), String> {
                 return Err(format!("event {i} ({name}) lacks numeric \"{field}\""));
             }
         }
+        if name == "optimize" {
+            check_pass_times(e).map_err(|msg| format!("event {i} (optimize): {msg}"))?;
+        }
         names.insert(name);
     }
     let missing: Vec<&String> = required
@@ -284,6 +290,30 @@ fn check(doc: &Json, required: &[String]) -> Result<(), String> {
         events.len(),
         names.len()
     );
+    Ok(())
+}
+
+/// Per-pass times an `optimize` span attaches (microseconds, summed over
+/// the pipeline's iterations).
+const PASS_TIMES: [&str; 4] = ["const_fold_us", "strength_us", "cse_us", "dce_us"];
+
+fn check_pass_times(event: &Json) -> Result<(), String> {
+    let dur = event.get("dur").and_then(Json::as_num).unwrap_or(0.0);
+    let mut sum = 0.0;
+    for key in PASS_TIMES {
+        let t = event
+            .get("args")
+            .and_then(|a| a.get(key))
+            .and_then(Json::as_num)
+            .ok_or(format!("lacks numeric args.{key}"))?;
+        if t < 0.0 {
+            return Err(format!("args.{key} = {t} is negative"));
+        }
+        sum += t;
+    }
+    if sum > dur {
+        return Err(format!("pass times sum to {sum} us, above dur {dur} us"));
+    }
     Ok(())
 }
 
@@ -338,7 +368,7 @@ mod tests {
     #[test]
     fn accepts_a_minimal_valid_trace() {
         let text = br#"{"displayTimeUnit": "ms", "traceEvents": [
-          {"name": "optimize", "cat": "hc", "ph": "X", "pid": 1, "tid": 0, "ts": 1, "dur": 5, "args": {"nodes_before": 10}},
+          {"name": "optimize", "cat": "hc", "ph": "X", "pid": 1, "tid": 0, "ts": 1, "dur": 5, "args": {"nodes_before": 10, "const_fold_us": 1, "strength_us": 1, "cse_us": 2, "dce_us": 1}},
           {"name": "simulate", "cat": "hc", "ph": "X", "pid": 1, "tid": 0, "ts": 8, "dur": 2, "args": {}}
         ]}"#;
         let doc = parse(text).unwrap();
@@ -355,6 +385,32 @@ mod tests {
         assert!(check(&doc, &[]).unwrap_err().contains("complete event"));
         assert!(parse(b"{\"traceEvents\": [").is_err());
         assert!(parse(b"{} trailing").is_err());
+    }
+
+    #[test]
+    fn optimize_spans_must_account_for_their_passes() {
+        let trace = |args: &str| {
+            let text = format!(
+                r#"{{"traceEvents": [{{"name": "optimize", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 10, "args": {{{args}}}}}]}}"#
+            );
+            check(&parse(text.as_bytes()).unwrap(), &[])
+        };
+        trace(r#""const_fold_us": 4, "strength_us": 3, "cse_us": 2, "dce_us": 1"#).unwrap();
+        assert!(
+            trace(r#""const_fold_us": 4, "strength_us": 3, "cse_us": 2"#)
+                .unwrap_err()
+                .contains("dce_us")
+        );
+        assert!(
+            trace(r#""const_fold_us": -1, "strength_us": 0, "cse_us": 0, "dce_us": 0"#)
+                .unwrap_err()
+                .contains("negative")
+        );
+        assert!(
+            trace(r#""const_fold_us": 5, "strength_us": 3, "cse_us": 2, "dce_us": 1"#)
+                .unwrap_err()
+                .contains("above dur")
+        );
     }
 
     #[test]

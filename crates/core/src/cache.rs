@@ -11,9 +11,10 @@
 //! ([`hc_rtl::hash::content_hash`]) plus the active
 //! [`PassConfig`](hc_rtl::passes::PassConfig) key, so runs under
 //! `HC_NO_OPT=1` never alias artifacts with optimized runs. Entries are
-//! computed outside the table lock; when two workers race on the same
-//! miss, the first insert wins and the loser's work is dropped (correct,
-//! merely redundant).
+//! computed outside the table lock, once per key: workers that miss on one
+//! key at the same time share one in-flight computation and all but the
+//! first wait for its result, so `cache.misses` counts each
+//! distinct module exactly once however the workers interleave.
 //!
 //! # Concurrency
 //!
@@ -30,6 +31,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use hc_obs::metrics::Counter;
@@ -251,6 +253,47 @@ impl<K: ShardKey, V: Clone> ShardedLru<K, V> {
     }
 }
 
+/// Per-key in-flight cells: callers that miss on one key at the same time
+/// share one computation, and every caller but the first blocks until its
+/// result is ready.
+///
+/// A cell lives in the map only while its key is being computed. If the
+/// computing caller panics, the panic propagates to it alone; the cell
+/// stays empty and the next waiter runs its own computation, so no waiter
+/// hangs.
+#[derive(Debug)]
+pub(crate) struct SingleFlight<K, V> {
+    cells: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+}
+
+impl<K: Hash + Eq + Copy, V: Clone> Default for SingleFlight<K, V> {
+    fn default() -> Self {
+        SingleFlight {
+            cells: Mutex::new(HashMap::new()),
+        }
+    }
+}
+
+impl<K: Hash + Eq + Copy, V: Clone> SingleFlight<K, V> {
+    /// Returns `compute()`'s value for `key`, running `compute` only when
+    /// no other caller is computing the same key; otherwise waits for that
+    /// caller's result.
+    pub(crate) fn run(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        let cell = Arc::clone(self.lock().entry(key).or_default());
+        let value = cell.get_or_init(compute).clone();
+        let mut cells = self.lock();
+        if cells.get(&key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
+            cells.remove(&key);
+        }
+        value
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<K, Arc<OnceLock<V>>>> {
+        // No caller code runs under this lock, so poisoning cannot tear it.
+        self.cells.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Upper bound on the shard count: beyond this the per-shard capacity
 /// rounds to nothing useful and counter noise outweighs contention wins.
 pub const MAX_SHARDS: usize = 64;
@@ -281,6 +324,8 @@ fn cache_shards() -> usize {
 
 struct Table {
     lru: ShardedLru<Key, Arc<FrontHalf>>,
+    /// Misses being computed right now.
+    inflight: SingleFlight<Key, Arc<FrontHalf>>,
     /// Per-shard `(hits, misses, store_hits)` metrics handles
     /// (`cache.shard[i].hits` / `.misses` / `.store_hits`).
     shard_counters: Vec<(Counter, Counter, Counter)>,
@@ -301,6 +346,7 @@ fn table() -> &'static Table {
             .collect();
         Table {
             lru,
+            inflight: SingleFlight::default(),
             shard_counters,
         }
     })
@@ -348,43 +394,70 @@ pub fn front_half(module: &Module) -> Arc<FrontHalf> {
         return hit;
     }
 
-    // Second tier: the persistent store (when HC_STORE_DIR is set). A
-    // store answer is *not* a miss — `cache.misses` counts only fully
-    // computed artifacts, so hit-rate math stays honest when the store
-    // absorbs the cold start.
-    if let Some(store) = crate::persist::store() {
-        let tier = crate::persist::tier_counters();
-        if let Some(entry) = crate::persist::load_front_in(store, key) {
+    // How this caller's answer was found: waiting on another caller's
+    // computation counts as a hit, like finding its finished entry.
+    enum Found {
+        Memory,
+        Store,
+        Computed,
+    }
+    let mut found = Found::Memory;
+    let entry = t.inflight.run(key, || {
+        // A racing caller may have finished between the lookup and here.
+        if let Some(hit) = t.lru.get(&key) {
+            return hit;
+        }
+        // Second tier: the persistent store (when HC_STORE_DIR is set). A
+        // store answer is *not* a miss — `cache.misses` counts only fully
+        // computed artifacts, so hit-rate math stays honest when the store
+        // absorbs the cold start.
+        if let Some(store) = crate::persist::store() {
+            let tier = crate::persist::tier_counters();
+            if let Some(entry) = crate::persist::load_front_in(store, key) {
+                tier.front_hits.inc();
+                found = Found::Store;
+                return t.lru.insert(key, entry);
+            }
+            tier.front_misses.inc();
+        }
+        found = Found::Computed;
+        // Compute outside every lock: synthesis takes milliseconds and
+        // would serialize the workers of other keys behind this miss.
+        let mut optimized = module.clone();
+        let opt = optimize_with(&mut optimized, &config);
+        let device = Device::xcvu9p();
+        let full = synthesize(&optimized, &device, &SynthOptions::default());
+        let nodsp = synthesize(&optimized, &device, &SynthOptions::no_dsp());
+        let entry = Arc::new(FrontHalf {
+            module: Arc::new(optimized),
+            opt,
+            full: Arc::new(full),
+            nodsp: Arc::new(nodsp),
+            key,
+        });
+        if let Some(store) = crate::persist::store() {
+            crate::persist::save_front_in(store, &entry);
+        }
+        t.lru.insert(key, entry)
+    });
+    match found {
+        Found::Memory => {
+            hits.inc();
+            t.shard_counters[shard].0.inc();
+            span.attach("hit", true);
+        }
+        Found::Store => {
             store_hits.inc();
             t.shard_counters[shard].2.inc();
-            tier.front_hits.inc();
             span.attach("store_hit", true);
-            return t.lru.insert(key, entry);
         }
-        tier.front_misses.inc();
+        Found::Computed => {
+            misses.inc();
+            t.shard_counters[shard].1.inc();
+            span.attach("hit", false);
+        }
     }
-    misses.inc();
-    t.shard_counters[shard].1.inc();
-    span.attach("hit", false);
-
-    // Compute outside the lock: synthesis takes milliseconds and would
-    // serialize every worker behind a single miss.
-    let mut optimized = module.clone();
-    let opt = optimize_with(&mut optimized, &config);
-    let device = Device::xcvu9p();
-    let full = synthesize(&optimized, &device, &SynthOptions::default());
-    let nodsp = synthesize(&optimized, &device, &SynthOptions::no_dsp());
-    let entry = Arc::new(FrontHalf {
-        module: Arc::new(optimized),
-        opt,
-        full: Arc::new(full),
-        nodsp: Arc::new(nodsp),
-        key,
-    });
-    if let Some(store) = crate::persist::store() {
-        crate::persist::save_front_in(store, &entry);
-    }
-    t.lru.insert(key, entry)
+    entry
 }
 
 /// `(hits, misses)` since process start or the last [`reset_stats`] —
@@ -493,6 +566,26 @@ mod tests {
         assert_eq!(s1 - s0, ss1 - ss0, "store-hit deltas diverged");
         assert!(h1 - h0 >= 6, "each module re-lookup hits");
         assert!(m1 - m0 >= 6, "each distinct module misses once");
+    }
+
+    #[test]
+    fn single_flight_waiter_recovers_from_a_panicking_computation() {
+        let flight: SingleFlight<u64, u64> = SingleFlight::default();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                flight.run(3, || {
+                    barrier.wait();
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    panic!("computation failed");
+                })
+            });
+            barrier.wait();
+            // Blocks on the failing computation, then computes itself.
+            assert_eq!(flight.run(3, || 7), 7);
+            assert!(first.join().is_err());
+        });
+        assert_eq!(flight.run(3, || 8), 8, "the key computes again later");
     }
 
     #[test]

@@ -120,6 +120,10 @@ impl Module {
         &self.nodes[id.index()]
     }
 
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut NodeData {
+        &mut self.nodes[id.index()]
+    }
+
     /// The result width of a node.
     pub fn width(&self, id: NodeId) -> u32 {
         self.nodes[id.index()].width
@@ -414,21 +418,26 @@ impl Module {
         Ok(m)
     }
 
-    /// Replaces the full node table (used by rewriting passes).
-    pub(crate) fn set_tables(
-        &mut self,
-        nodes: Vec<NodeData>,
-        inputs: Vec<Port>,
-        outputs: Vec<Output>,
-        regs: Vec<Reg>,
-        mems: Vec<Mem>,
-    ) {
-        self.nodes = nodes;
-        self.inputs = inputs;
-        self.outputs = outputs;
-        self.regs = regs;
-        self.mems = mems;
+    /// Mutable views of the node, port, register and memory tables, for
+    /// the rewriting passes that edit a module in place.
+    pub(crate) fn tables_mut(&mut self) -> TablesMut<'_> {
+        TablesMut {
+            nodes: &mut self.nodes,
+            inputs: &mut self.inputs,
+            outputs: &mut self.outputs,
+            regs: &mut self.regs,
+            mems: &mut self.mems,
+        }
     }
+}
+
+/// Borrowed mutable tables of one [`Module`] (see [`Module::tables_mut`]).
+pub(crate) struct TablesMut<'a> {
+    pub(crate) nodes: &'a mut Vec<NodeData>,
+    pub(crate) inputs: &'a mut [Port],
+    pub(crate) outputs: &'a mut [Output],
+    pub(crate) regs: &'a mut Vec<Reg>,
+    pub(crate) mems: &'a mut Vec<Mem>,
 }
 
 #[cfg(test)]

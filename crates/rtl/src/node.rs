@@ -74,29 +74,36 @@ impl Node {
         }
     }
 
-    /// Rewrites every operand through `map` (used by the rewriting passes).
-    pub fn map_operands(&self, mut map: impl FnMut(NodeId) -> NodeId) -> Node {
-        match self.clone() {
-            n @ (Node::Const(_) | Node::Input(_) | Node::RegOut(_)) => n,
-            Node::Unary(op, a) => Node::Unary(op, map(a)),
-            Node::Binary(op, a, b) => Node::Binary(op, map(a), map(b)),
+    /// A copy of this node with every operand rewritten through `map`.
+    pub fn map_operands(&self, map: impl FnMut(NodeId) -> NodeId) -> Node {
+        let mut node = self.clone();
+        node.remap_operands(map);
+        node
+    }
+
+    /// Rewrites every operand through `map` in place (the rewriting passes
+    /// use this; unlike [`Node::map_operands`] it never copies a constant).
+    pub(crate) fn remap_operands(&mut self, mut map: impl FnMut(NodeId) -> NodeId) {
+        match self {
+            Node::Const(_) | Node::Input(_) | Node::RegOut(_) => {}
+            Node::Unary(_, a)
+            | Node::Slice { src: a, .. }
+            | Node::ZExt(a)
+            | Node::SExt(a)
+            | Node::MemRead { addr: a, .. } => *a = map(*a),
+            Node::Binary(_, a, b) | Node::Concat(a, b) => {
+                *a = map(*a);
+                *b = map(*b);
+            }
             Node::Mux {
                 sel,
                 on_true,
                 on_false,
-            } => Node::Mux {
-                sel: map(sel),
-                on_true: map(on_true),
-                on_false: map(on_false),
-            },
-            Node::Concat(a, b) => Node::Concat(map(a), map(b)),
-            Node::Slice { src, lo } => Node::Slice { src: map(src), lo },
-            Node::ZExt(a) => Node::ZExt(map(a)),
-            Node::SExt(a) => Node::SExt(map(a)),
-            Node::MemRead { mem, addr } => Node::MemRead {
-                mem,
-                addr: map(addr),
-            },
+            } => {
+                *sel = map(*sel);
+                *on_true = map(*on_true);
+                *on_false = map(*on_false);
+            }
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Constant folding and algebraic simplification.
 
+use crate::passes::apply_replacement;
 use crate::passes::eval::eval_pure;
 use crate::{BinaryOp, Module, Node, NodeId};
 use hc_bits::Bits;
@@ -9,65 +10,69 @@ use hc_bits::Bits;
 /// select muxes, …). Dead originals are left for [`super::dce`] to collect.
 pub fn const_fold(module: &mut Module) {
     let n = module.nodes().len();
-    // replace[i] = the node that should be used instead of node i.
+    // replace[i] = the node that should be used instead of node i. Every
+    // entry is a fixed point (replace[replace[i]] == replace[i]), so the
+    // remapped operands below name canonical nodes, and a canonical node
+    // is constant exactly when it is a `Const` node.
     let mut replace: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let mut values: Vec<Option<Bits>> = vec![None; n];
 
     for i in 0..n {
-        let data = module.node(NodeId::new(i)).clone();
-        let node = data.node.map_operands(|id| replace[id.index()]);
-
-        // Gather operand constant values.
-        let mut args = Vec::new();
-        let mut all_const = true;
-        node.for_each_operand(|id| match &values[id.index()] {
-            Some(v) => args.push(v.clone()),
-            None => all_const = false,
-        });
-
-        if all_const
-            && !matches!(
-                node,
-                Node::Input(_) | Node::RegOut(_) | Node::MemRead { .. }
-            )
-        {
-            if let Some(v) = eval_pure(&node, data.width, &args) {
-                if let Node::Const(existing) = &module.node(NodeId::new(i)).node {
-                    values[i] = Some(existing.clone());
-                    continue;
-                }
-                let new = module.constant(v.clone());
-                replace.push(new); // self-map for the appended node
-                values.push(Some(v.clone()));
-                replace[i] = new;
-                values[i] = Some(v);
-                continue;
-            }
+        let id = NodeId::new(i);
+        module
+            .node_mut(id)
+            .node
+            .remap_operands(|op| replace[op.index()]);
+        let nd = module.node(id);
+        if matches!(nd.node, Node::Const(_)) {
+            continue;
         }
-
-        match identity(module, &node, data.width, &values) {
-            Some(Simplified::Alias(alias)) => {
-                replace[i] = replace[alias.index()];
-                values[i] = values[alias.index()].clone();
-                continue;
-            }
+        let simplified = match fold(module, &nd.node, nd.width) {
+            Some(v) => Some(Simplified::Value(v)),
+            None => identity(module, &nd.node, nd.width),
+        };
+        match simplified {
+            Some(Simplified::Alias(alias)) => replace[i] = alias,
             Some(Simplified::Value(v)) => {
-                let new = module.constant(v.clone());
-                replace.push(new);
-                values.push(Some(v.clone()));
+                let new = module.constant(v);
+                replace.push(new); // self-map for the appended node
                 replace[i] = new;
-                values[i] = Some(v);
-                continue;
             }
             None => {}
-        }
-
-        if let Node::Const(v) = &node {
-            values[i] = Some(v.clone());
         }
     }
 
     apply_replacement(module, &replace);
+}
+
+/// The value of a canonical node, if it is a constant.
+fn const_value(module: &Module, id: NodeId) -> Option<&Bits> {
+    match &module.node(id).node {
+        Node::Const(v) => Some(v),
+        _ => None,
+    }
+}
+
+/// The value a pure node computes when every operand is a constant.
+fn fold(module: &Module, node: &Node, width: u32) -> Option<Bits> {
+    if matches!(
+        node,
+        Node::Input(_) | Node::RegOut(_) | Node::MemRead { .. }
+    ) {
+        return None;
+    }
+    let mut all_const = true;
+    node.for_each_operand(|id| all_const &= const_value(module, id).is_some());
+    if !all_const {
+        return None;
+    }
+    let mut args = Vec::with_capacity(3);
+    node.for_each_operand(|id| args.extend(const_value(module, id)));
+    eval_pure(node, width, &args)
+}
+
+/// All bits set (bits above the width are zero by `Bits`' invariant).
+fn is_ones(v: &Bits) -> bool {
+    v.count_ones() == v.width()
 }
 
 /// Result of an algebraic simplification: an existing equivalent node, or a
@@ -79,14 +84,9 @@ enum Simplified {
 
 /// Returns an existing node this node is equivalent to — or a constant it
 /// always evaluates to — if an algebraic identity applies.
-fn identity(
-    module: &Module,
-    node: &Node,
-    width: u32,
-    values: &[Option<Bits>],
-) -> Option<Simplified> {
+fn identity(module: &Module, node: &Node, width: u32) -> Option<Simplified> {
     use Simplified::{Alias, Value};
-    let cval = |id: NodeId| values.get(id.index()).and_then(|v| v.clone());
+    let cval = |id: NodeId| const_value(module, id);
     match *node {
         Node::Binary(op, a, b) => {
             let (ca, cb) = (cval(a), cval(b));
@@ -98,16 +98,13 @@ fn identity(
                     if op == BinaryOp::Or && a == b {
                         return Some(Alias(a));
                     }
-                    if op == BinaryOp::Or
-                        && (ca.as_ref().is_some_and(|v| *v == Bits::ones(v.width()))
-                            || cb.as_ref().is_some_and(|v| *v == Bits::ones(v.width())))
-                    {
+                    if op == BinaryOp::Or && (ca.is_some_and(is_ones) || cb.is_some_and(is_ones)) {
                         return Some(Value(Bits::ones(width)));
                     }
-                    if op != BinaryOp::Sub && ca.as_ref().is_some_and(Bits::is_zero) {
+                    if op != BinaryOp::Sub && ca.is_some_and(Bits::is_zero) {
                         return Some(Alias(b));
                     }
-                    if cb.as_ref().is_some_and(Bits::is_zero) {
+                    if cb.is_some_and(Bits::is_zero) {
                         return Some(Alias(a));
                     }
                     None
@@ -116,36 +113,28 @@ fn identity(
                     if a == b {
                         return Some(Alias(a));
                     }
-                    if ca.as_ref().is_some_and(Bits::is_zero)
-                        || cb.as_ref().is_some_and(Bits::is_zero)
-                    {
+                    if ca.is_some_and(Bits::is_zero) || cb.is_some_and(Bits::is_zero) {
                         return Some(Value(Bits::zero(width)));
                     }
-                    if ca.as_ref().is_some_and(|v| *v == Bits::ones(v.width())) {
+                    if ca.is_some_and(is_ones) {
                         return Some(Alias(b));
                     }
-                    if cb.as_ref().is_some_and(|v| *v == Bits::ones(v.width())) {
+                    if cb.is_some_and(is_ones) {
                         return Some(Alias(a));
                     }
                     None
                 }
                 BinaryOp::MulS | BinaryOp::MulU => {
-                    if ca.as_ref().is_some_and(Bits::is_zero)
-                        || cb.as_ref().is_some_and(Bits::is_zero)
-                    {
+                    if ca.is_some_and(Bits::is_zero) || cb.is_some_and(Bits::is_zero) {
                         return Some(Value(Bits::zero(width)));
                     }
                     // x * 1 keeps the value when the result width covers x.
-                    if cb
-                        .as_ref()
-                        .is_some_and(|v| v.to_u64() == 1 && v.count_ones() == 1)
+                    if cb.is_some_and(|v| v.to_u64() == 1 && v.count_ones() == 1)
                         && module.width(a) == width
                     {
                         return Some(Alias(a));
                     }
-                    if ca
-                        .as_ref()
-                        .is_some_and(|v| v.to_u64() == 1 && v.count_ones() == 1)
+                    if ca.is_some_and(|v| v.to_u64() == 1 && v.count_ones() == 1)
                         && module.width(b) == width
                     {
                         return Some(Alias(b));
@@ -159,10 +148,10 @@ fn identity(
                     Some(Value(Bits::zero(width)))
                 }
                 BinaryOp::Shl | BinaryOp::ShrL | BinaryOp::ShrA => {
-                    if ca.as_ref().is_some_and(Bits::is_zero) {
+                    if ca.is_some_and(Bits::is_zero) {
                         return Some(Value(Bits::zero(width)));
                     }
-                    if cb.as_ref().is_some_and(Bits::is_zero) {
+                    if cb.is_some_and(Bits::is_zero) {
                         return Some(Alias(a));
                     }
                     None
@@ -184,105 +173,6 @@ fn identity(
         Node::Slice { src, lo } if lo == 0 && module.width(src) == width => Some(Alias(src)),
         _ => None,
     }
-}
-
-/// Rewrites every operand, output, register and memory reference through the
-/// replacement table, then re-sorts the node list topologically (replacement
-/// may introduce forward references, e.g. to constants appended at the end).
-pub(crate) fn apply_replacement(module: &mut Module, replace: &[NodeId]) {
-    // First rewrite through `replace`, then compose with a topological
-    // permutation of the rewritten graph.
-    let rewritten: Vec<Node> = module
-        .nodes()
-        .iter()
-        .map(|nd| nd.node.map_operands(|id| replace[id.index()]))
-        .collect();
-    let order = topo_order(&rewritten);
-    let mut position = vec![0usize; rewritten.len()];
-    for (pos, &old) in order.iter().enumerate() {
-        position[old] = pos;
-    }
-    let map = |id: NodeId| NodeId::new(position[replace[id.index()].index()]);
-    let nodes = order
-        .iter()
-        .map(|&old| {
-            let nd = module.node(NodeId::new(old));
-            crate::module::NodeData {
-                node: rewritten[old].map_operands(|id| NodeId::new(position[id.index()])),
-                width: nd.width,
-                name: nd.name.clone(),
-            }
-        })
-        .collect();
-    let inputs = module.inputs().to_vec();
-    let outputs = module
-        .outputs()
-        .iter()
-        .map(|o| crate::Output {
-            name: o.name.clone(),
-            node: map(o.node),
-        })
-        .collect();
-    let regs = module
-        .regs()
-        .iter()
-        .map(|r| crate::Reg {
-            next: r.next.map(map),
-            en: r.en.map(map),
-            reset: r.reset.map(map),
-            ..r.clone()
-        })
-        .collect();
-    let mems = module
-        .mems()
-        .iter()
-        .map(|m| crate::Mem {
-            writes: m
-                .writes
-                .iter()
-                .map(|w| crate::MemWrite {
-                    addr: map(w.addr),
-                    data: map(w.data),
-                    en: map(w.en),
-                })
-                .collect(),
-            ..m.clone()
-        })
-        .collect();
-    module.set_tables(nodes, inputs, outputs, regs, mems);
-}
-
-/// Topological order of an acyclic node graph (operands before users),
-/// computed with an iterative DFS so deep netlists cannot overflow the
-/// stack.
-fn topo_order(nodes: &[Node]) -> Vec<usize> {
-    let mut order = Vec::with_capacity(nodes.len());
-    // 0 = unvisited, 1 = in progress, 2 = emitted.
-    let mut mark = vec![0u8; nodes.len()];
-    for root in 0..nodes.len() {
-        if mark[root] != 0 {
-            continue;
-        }
-        let mut stack = vec![(root, false)];
-        while let Some((i, expanded)) = stack.pop() {
-            if expanded {
-                mark[i] = 2;
-                order.push(i);
-                continue;
-            }
-            if mark[i] != 0 {
-                continue;
-            }
-            mark[i] = 1;
-            stack.push((i, true));
-            nodes[i].for_each_operand(|op| {
-                if mark[op.index()] == 0 {
-                    stack.push((op.index(), false));
-                }
-            });
-        }
-    }
-    order
 }
 
 #[cfg(test)]
@@ -328,6 +218,27 @@ mod tests {
         m.output("y", y);
         const_fold(&mut m);
         assert_eq!(m.outputs()[0].node, a);
+    }
+
+    #[test]
+    fn ports_follow_nodes_the_sort_moves() {
+        // The folded constant lands before its user, shifting every later
+        // node, including an input declared after the logic.
+        let mut m = Module::new("t");
+        let a = m.input("a", 8);
+        let c1 = m.const_u(8, 3);
+        let c2 = m.const_u(8, 4);
+        let k = m.binary(BinaryOp::Add, c1, c2, 8);
+        let s = m.binary(BinaryOp::Add, a, k, 8);
+        let b = m.input("b", 8);
+        let y = m.binary(BinaryOp::Add, s, b, 8);
+        m.output("y", y);
+        const_fold(&mut m);
+        dce(&mut m);
+        m.validate().unwrap();
+        for (idx, port) in m.inputs().iter().enumerate() {
+            assert_eq!(m.node(port.node).node, Node::Input(idx), "{}", port.name);
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Common-subexpression elimination by hash-consing.
 
-use crate::passes::const_fold::apply_replacement;
+use crate::module::NodeData;
+use crate::passes::apply_replacement;
 use crate::{BinaryOp, Module, Node, NodeId};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// Merges structurally identical nodes. Two nodes merge when, after operand
 /// remapping, they have the same kind, operands and width; commutative
@@ -13,19 +15,31 @@ use std::collections::HashMap;
 pub fn cse(module: &mut Module) {
     let n = module.nodes().len();
     let mut replace: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let mut seen: HashMap<(Node, u32), NodeId> = HashMap::new();
+    // First occurrences by key, open-addressed and at most half full: a
+    // slot holds a node index + 1 (0 = empty). The keys are the remapped
+    // nodes in the table itself, so nothing is cloned.
+    let bits = (2 * n).max(2).next_power_of_two().trailing_zeros();
+    let mut slots = vec![0u32; 1 << bits];
+    let state = RandomState::new();
+    let nodes = module.tables_mut().nodes;
 
     for i in 0..n {
-        let data = module.node(NodeId::new(i));
-        let node = data.node.map_operands(|id| replace[id.index()]);
-        if matches!(node, Node::Input(_)) {
+        nodes[i].node.remap_operands(|id| replace[id.index()]);
+        if matches!(nodes[i].node, Node::Input(_)) {
             continue;
         }
-        let key = (canonical(node), data.width);
-        match seen.get(&key) {
-            Some(&first) => replace[i] = first,
-            None => {
-                seen.insert(key, NodeId::new(i));
+        let mut slot = (key_hash(&state, &nodes[i]) >> (64 - bits)) as usize;
+        loop {
+            match slots[slot] as usize {
+                0 => {
+                    slots[slot] = i as u32 + 1;
+                    break;
+                }
+                first if same_key(&nodes[first - 1], &nodes[i]) => {
+                    replace[i] = NodeId::new(first - 1);
+                    break;
+                }
+                _ => slot = (slot + 1) & (slots.len() - 1),
             }
         }
     }
@@ -33,28 +47,47 @@ pub fn cse(module: &mut Module) {
     apply_replacement(module, &replace);
 }
 
-/// Hash-consing key: commutative binaries get their operands sorted so
-/// `a + b` and `b + a` land in the same bucket. (The node itself is left
-/// as built — only the lookup key is reordered.)
-fn canonical(node: Node) -> Node {
-    match node {
-        Node::Binary(op, a, b)
-            if b < a
-                && matches!(
-                    op,
-                    BinaryOp::Add
-                        | BinaryOp::MulU
-                        | BinaryOp::MulS
-                        | BinaryOp::And
-                        | BinaryOp::Or
-                        | BinaryOp::Xor
-                        | BinaryOp::Eq
-                        | BinaryOp::Ne
-                ) =>
-        {
-            Node::Binary(op, b, a)
+/// Hash-consing operand order: commutative binaries sort their operands so
+/// `a + b` and `b + a` share a key. (The node itself is left as built —
+/// only the key is reordered.)
+fn sorted(op: BinaryOp, a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+    let commutative = matches!(
+        op,
+        BinaryOp::Add
+            | BinaryOp::MulU
+            | BinaryOp::MulS
+            | BinaryOp::And
+            | BinaryOp::Or
+            | BinaryOp::Xor
+            | BinaryOp::Eq
+            | BinaryOp::Ne
+    );
+    if commutative && b < a {
+        (b, a)
+    } else {
+        (a, b)
+    }
+}
+
+/// True when two nodes share a hash-consing key: kind, canonical operands
+/// and width.
+fn same_key(x: &NodeData, y: &NodeData) -> bool {
+    x.width == y.width
+        && match (&x.node, &y.node) {
+            (&Node::Binary(o1, a1, b1), &Node::Binary(o2, a2, b2)) => {
+                o1 == o2 && sorted(o1, a1, b1) == sorted(o2, a2, b2)
+            }
+            (p, q) => p == q,
         }
-        other => other,
+}
+
+/// A hash consistent with [`same_key`]. The hasher is the standard
+/// library's randomly keyed one: modules can arrive over the network, and
+/// keys crafted to collide would make the probing quadratic.
+fn key_hash(state: &RandomState, nd: &NodeData) -> u64 {
+    match nd.node {
+        Node::Binary(op, a, b) => state.hash_one((op, sorted(op, a, b), nd.width)),
+        ref node => state.hash_one((node, nd.width)),
     }
 }
 

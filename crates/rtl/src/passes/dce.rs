@@ -1,7 +1,7 @@
 //! Dead-code elimination with register and memory liveness.
 
-use crate::module::NodeData;
-use crate::{Mem, MemId, MemWrite, Module, Node, NodeId, Output, Port, Reg, RegId};
+use crate::passes::remap_refs;
+use crate::{MemId, Module, Node, NodeId, RegId};
 
 /// Removes nodes, registers and memories that cannot influence any output.
 ///
@@ -44,98 +44,37 @@ pub fn dce(module: &mut Module) {
         node_live[port.node.index()] = true;
     }
 
-    // Compact the id spaces.
-    let mut node_map = vec![NodeId::new(usize::MAX); n];
-    let mut reg_map = vec![RegId::new(usize::MAX); module.regs().len()];
-    let mut mem_map = vec![MemId::new(usize::MAX); module.mems().len()];
-    let mut next_reg = 0usize;
-    for (i, live) in reg_live.iter().enumerate() {
-        if *live {
-            reg_map[i] = RegId::new(next_reg);
-            next_reg += 1;
+    // Compact the id spaces in place: nodes, registers and memories move
+    // down over the dead entries, then every reference is renumbered.
+    let mut t = module.tables_mut();
+    let node_map = compact(t.nodes, &node_live);
+    // Return the dropped nodes' memory: optimized modules stay cached.
+    t.nodes.shrink_to_fit();
+    let reg_map = compact(t.regs, &reg_live);
+    let mem_map = compact(t.mems, &mem_live);
+    let remap = |id: NodeId| NodeId::new(node_map[id.index()]);
+    for nd in t.nodes.iter_mut() {
+        nd.node.remap_operands(remap);
+        match &mut nd.node {
+            Node::RegOut(r) => *r = RegId::new(reg_map[r.index()]),
+            Node::MemRead { mem, .. } => *mem = MemId::new(mem_map[mem.index()]),
+            _ => {}
         }
     }
-    let mut next_mem = 0usize;
-    for (i, live) in mem_live.iter().enumerate() {
-        if *live {
-            mem_map[i] = MemId::new(next_mem);
-            next_mem += 1;
-        }
-    }
+    remap_refs(&mut t, remap);
+}
 
-    let mut nodes: Vec<NodeData> = Vec::new();
-    for i in 0..n {
-        if !node_live[i] {
-            continue;
-        }
-        let nd = module.node(NodeId::new(i));
-        let mut node = nd.node.map_operands(|id| node_map[id.index()]);
-        node = match node {
-            Node::RegOut(r) => Node::RegOut(reg_map[r.index()]),
-            Node::MemRead { mem, addr } => Node::MemRead {
-                mem: mem_map[mem.index()],
-                addr,
-            },
-            other => other,
-        };
-        node_map[i] = NodeId::new(nodes.len());
-        nodes.push(NodeData {
-            node,
-            width: nd.width,
-            name: nd.name.clone(),
-        });
-    }
-
-    let remap = |id: NodeId| node_map[id.index()];
-    let inputs: Vec<Port> = module
-        .inputs()
-        .iter()
-        .map(|p| Port {
-            name: p.name.clone(),
-            width: p.width,
-            node: remap(p.node),
-        })
-        .collect();
-    let outputs: Vec<Output> = module
-        .outputs()
-        .iter()
-        .map(|o| Output {
-            name: o.name.clone(),
-            node: remap(o.node),
-        })
-        .collect();
-    let regs: Vec<Reg> = module
-        .regs()
-        .iter()
-        .zip(&reg_live)
-        .filter(|(_, live)| **live)
-        .map(|(r, _)| Reg {
-            next: r.next.map(remap),
-            en: r.en.map(remap),
-            reset: r.reset.map(remap),
-            ..r.clone()
-        })
-        .collect();
-    let mems: Vec<Mem> = module
-        .mems()
-        .iter()
-        .zip(&mem_live)
-        .filter(|(_, live)| **live)
-        .map(|(m, _)| Mem {
-            writes: m
-                .writes
-                .iter()
-                .map(|w| MemWrite {
-                    addr: remap(w.addr),
-                    data: remap(w.data),
-                    en: remap(w.en),
-                })
-                .collect(),
-            ..m.clone()
-        })
-        .collect();
-
-    module.set_tables(nodes, inputs, outputs, regs, mems);
+/// Drops the entries whose `live` flag is clear, keeping their order, and
+/// returns every old index's new one (`usize::MAX` for dropped entries).
+fn compact<T>(items: &mut Vec<T>, live: &[bool]) -> Vec<usize> {
+    let (mut map, mut next) = (Vec::with_capacity(live.len()), 0);
+    items.retain(|_| {
+        let keep = live[map.len()];
+        map.push(if keep { next } else { usize::MAX });
+        next += usize::from(keep);
+        keep
+    });
+    map
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 
 use crate::{BinaryOp, Node, UnaryOp};
 use hc_bits::Bits;
+use std::borrow::Borrow;
 
-/// Evaluates a pure (state-free) node given its operand values, producing a
-/// result of `width` bits.
+/// Evaluates a pure (state-free) node given its operand values (owned or
+/// borrowed), producing a result of `width` bits.
 ///
 /// Returns `None` for nodes that depend on state or the environment
 /// (`Input`, `RegOut`, `MemRead`), which the caller must resolve itself.
@@ -14,12 +15,13 @@ use hc_bits::Bits;
 ///
 /// Panics if `args` does not match the node's operand count/widths (the
 /// module is expected to have passed [`crate::Module::validate`]).
-pub fn eval_pure(node: &Node, width: u32, args: &[Bits]) -> Option<Bits> {
+pub fn eval_pure<B: Borrow<Bits>>(node: &Node, width: u32, args: &[B]) -> Option<Bits> {
+    let arg = |i: usize| args[i].borrow();
     let out = match node {
         Node::Const(v) => v.clone(),
         Node::Input(_) | Node::RegOut(_) | Node::MemRead { .. } => return None,
         Node::Unary(op, _) => {
-            let a = &args[0];
+            let a = arg(0);
             match op {
                 UnaryOp::Not => a.not(),
                 UnaryOp::Neg => a.neg(),
@@ -29,7 +31,7 @@ pub fn eval_pure(node: &Node, width: u32, args: &[Bits]) -> Option<Bits> {
             }
         }
         Node::Binary(op, ..) => {
-            let (a, b) = (&args[0], &args[1]);
+            let (a, b) = (arg(0), arg(1));
             match op {
                 BinaryOp::Add => a.add(b),
                 BinaryOp::Sub => a.sub(b),
@@ -59,13 +61,13 @@ pub fn eval_pure(node: &Node, width: u32, args: &[Bits]) -> Option<Bits> {
             }
         }
         Node::Mux { .. } => {
-            let (sel, t, f) = (&args[0], &args[1], &args[2]);
+            let (sel, t, f) = (arg(0), arg(1), arg(2));
             t.mux(f, sel.to_bool())
         }
-        Node::Concat(..) => args[0].concat(&args[1]),
-        Node::Slice { lo, .. } => args[0].slice(*lo, width),
-        Node::ZExt(_) => args[0].zext(width),
-        Node::SExt(_) => args[0].sext(width),
+        Node::Concat(..) => arg(0).concat(arg(1)),
+        Node::Slice { lo, .. } => arg(0).slice(*lo, width),
+        Node::ZExt(_) => arg(0).zext(width),
+        Node::SExt(_) => arg(0).sext(width),
     };
     debug_assert_eq!(out.width(), width, "evaluator produced wrong width");
     Some(out)
@@ -117,8 +119,8 @@ mod tests {
 
     #[test]
     fn stateful_nodes_are_deferred() {
-        assert!(eval_pure(&Node::Input(0), 8, &[]).is_none());
-        assert!(eval_pure(&Node::RegOut(crate::RegId::new(0)), 8, &[]).is_none());
+        assert!(eval_pure::<Bits>(&Node::Input(0), 8, &[]).is_none());
+        assert!(eval_pure::<Bits>(&Node::RegOut(crate::RegId::new(0)), 8, &[]).is_none());
     }
 
     #[test]

@@ -4,12 +4,23 @@
 //! All passes preserve the observable behaviour of the module (outputs as a
 //! function of input history), which the workspace verifies with
 //! property-based tests in `hc-sim` and design-level differential tests in
-//! `tests/opt_equivalence.rs`.
+//! `tests/opt_equivalence.rs`, which also pins the optimized netlists of
+//! every design the paper's experiments build.
 //!
 //! The standard pipeline is [`optimize`]; [`optimize_with`] takes an
 //! explicit [`PassConfig`] for debugging and ablation. Setting `HC_NO_OPT=1`
 //! in the environment disables every pass for all [`optimize`] callers —
 //! handy when a miscompare needs to be bisected down to "is it the passes?".
+//!
+//! The passes edit the module's tables in place and keep three invariants:
+//! one owner of each `NodeData` (nodes, names and constants are moved or
+//! edited where they stand, never copied into a rebuilt table); no per-node
+//! clones (operands are remapped in place, constant operands are read by
+//! reference, CSE keys on the table's own nodes); and a sort only when a
+//! rewrite points a node at one appended after it. That sort is the same
+//! depth-first order the pipeline has always used, from the first such node
+//! on; on an already-ordered graph it is the identity, so skipping it there
+//! changes nothing.
 
 mod const_fold;
 mod cse;
@@ -22,7 +33,9 @@ pub use cse::cse;
 pub use dce::dce;
 pub use strength::strength_reduce;
 
-use crate::Module;
+use crate::module::{NodeData, TablesMut};
+use crate::{Module, NodeId};
+use std::time::{Duration, Instant};
 
 /// Which passes the pipeline runs. The default is everything; the memo
 /// caches key on [`PassConfig::key`] so artifacts produced under different
@@ -139,20 +152,29 @@ pub fn optimize_with(module: &mut Module, config: &PassConfig) -> OptReport {
         regs_before: module.regs().len(),
         ..OptReport::default()
     };
+    let passes = [
+        (
+            config.const_fold,
+            const_fold as fn(&mut Module),
+            "const_fold_us",
+        ),
+        (config.strength, strength_reduce, "strength_us"),
+        (config.cse, cse, "cse_us"),
+        (config.dce, dce, "dce_us"),
+    ];
+    // Time per pass, summed over iterations: attached to the one span
+    // rather than nested spans, so the span's self time stays the whole
+    // pipeline's.
+    let mut spent = [Duration::ZERO; 4];
     if config.any() {
         loop {
             let before = module.nodes().len();
-            if config.const_fold {
-                const_fold(module);
-            }
-            if config.strength {
-                strength_reduce(module);
-            }
-            if config.cse {
-                cse(module);
-            }
-            if config.dce {
-                dce(module);
+            for ((enabled, pass, _), spent) in passes.iter().zip(&mut spent) {
+                if *enabled {
+                    let start = Instant::now();
+                    pass(module);
+                    *spent += start.elapsed();
+                }
             }
             report.iterations += 1;
             if module.nodes().len() >= before {
@@ -165,6 +187,9 @@ pub fn optimize_with(module: &mut Module, config: &PassConfig) -> OptReport {
     span.attach("nodes_before", report.nodes_before);
     span.attach("nodes_after", report.nodes_after);
     span.attach("iterations", report.iterations);
+    for ((_, _, key), spent) in passes.iter().zip(spent) {
+        span.attach(key, spent.as_micros() as u64);
+    }
     hc_obs::metrics::counter("ir.optimize_runs").inc();
     hc_obs::metrics::counter("ir.nodes_removed")
         .add(report.nodes_before.saturating_sub(report.nodes_after) as u64);
@@ -175,6 +200,96 @@ pub fn optimize_with(module: &mut Module, config: &PassConfig) -> OptReport {
 /// (everything, unless `HC_NO_OPT` is set).
 pub fn optimize(module: &mut Module) -> OptReport {
     optimize_with(module, &PassConfig::from_env())
+}
+
+/// Rewrites every operand, port, register and memory reference through the
+/// replacement table, in place. A replacement may point at a node the pass
+/// appended after its users; only then is the order restored
+/// ([`sort_from`]).
+pub(crate) fn apply_replacement(module: &mut Module, replace: &[NodeId]) {
+    let mut t = module.tables_mut();
+    let mut first_forward = None;
+    for (i, nd) in t.nodes.iter_mut().enumerate() {
+        nd.node.remap_operands(|id| {
+            let to = replace[id.index()];
+            if to.index() >= i && first_forward.is_none() {
+                first_forward = Some(i);
+            }
+            to
+        });
+    }
+    remap_refs(&mut t, |id| replace[id.index()]);
+    if let Some(start) = first_forward {
+        sort_from(&mut t, start);
+    }
+}
+
+/// Re-sorts nodes `start..` topologically (operands before users); every
+/// node before `start` only reads earlier nodes and stays put. The order is
+/// an iterative DFS — roots in index order, operands pushed in operand
+/// order — so deep netlists cannot overflow the stack, and each appended
+/// node lands just before its first user.
+fn sort_from(t: &mut TablesMut<'_>, start: usize) {
+    let n = t.nodes.len();
+    // 0 = unvisited, 1 = in progress, 2 = emitted.
+    let mut mark = vec![0u8; n];
+    mark[..start].fill(2);
+    let mut order = Vec::with_capacity(n - start);
+    let mut stack = Vec::new();
+    for root in start..n {
+        if mark[root] != 0 {
+            continue;
+        }
+        stack.push((root, false));
+        while let Some((i, expanded)) = stack.pop() {
+            if expanded {
+                mark[i] = 2;
+                order.push(i);
+                continue;
+            }
+            if mark[i] != 0 {
+                continue;
+            }
+            mark[i] = 1;
+            stack.push((i, true));
+            t.nodes[i].node.for_each_operand(|op| {
+                if mark[op.index()] == 0 {
+                    stack.push((op.index(), false));
+                }
+            });
+        }
+    }
+    let mut position: Vec<usize> = (0..n).collect();
+    for (k, &old) in order.iter().enumerate() {
+        position[old] = start + k;
+    }
+    let mut tail: Vec<Option<NodeData>> = t.nodes.drain(start..).map(Some).collect();
+    t.nodes
+        .extend(order.iter().filter_map(|&old| tail[old - start].take()));
+    let map = |id: NodeId| NodeId::new(position[id.index()]);
+    for nd in &mut t.nodes[start..] {
+        nd.node.remap_operands(map);
+    }
+    remap_refs(t, map);
+}
+
+/// Rewrites the node references held outside the node table: input and
+/// output ports, register next/enable/reset, memory write ports.
+pub(crate) fn remap_refs(t: &mut TablesMut<'_>, map: impl Fn(NodeId) -> NodeId) {
+    for p in t.inputs.iter_mut() {
+        p.node = map(p.node);
+    }
+    for o in t.outputs.iter_mut() {
+        o.node = map(o.node);
+    }
+    for r in t.regs.iter_mut() {
+        for id in [&mut r.next, &mut r.en, &mut r.reset].into_iter().flatten() {
+            *id = map(*id);
+        }
+    }
+    for w in t.mems.iter_mut().flat_map(|m| &mut m.writes) {
+        (w.addr, w.data, w.en) = (map(w.addr), map(w.data), map(w.en));
+    }
 }
 
 #[cfg(test)]

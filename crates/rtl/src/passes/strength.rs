@@ -9,7 +9,7 @@
 //! from every simulated cycle's tape and shortens synthesis netlists, at
 //! zero behavioural cost (the shapes are pure wiring).
 
-use crate::passes::const_fold::apply_replacement;
+use crate::passes::apply_replacement;
 use crate::{Module, Node, NodeId};
 use hc_bits::Bits;
 
@@ -20,24 +20,22 @@ pub fn strength_reduce(module: &mut Module) {
     let mut replace: Vec<NodeId> = (0..n).map(NodeId::new).collect();
 
     for i in 0..n {
-        let data = module.node(NodeId::new(i)).clone();
-        let node = data.node.map_operands(|id| replace[id.index()]);
-        let w = data.width;
+        let nd = module.node(NodeId::new(i));
+        let w = nd.width;
+        let remap = |id: NodeId| replace[id.index()];
 
-        // The canonical node a (remapped) operand resolves to. Operands
-        // always canonicalize to earlier indices or appended nodes, both of
-        // which already exist in the table.
-        let resolved = |m: &Module, id: NodeId| m.node(id).node.clone();
-
-        let rewrite = match node {
+        // Operands are remapped, but the nodes they resolve to are read as
+        // stored: the table is only rewritten once the whole pass is done.
+        let rewrite = match nd.node {
             // Chase the slice window through nested slices, concat halves and
             // extensions until it lands on an opaque source. One visit thus
             // resolves arbitrarily deep pack/unpack ladders.
-            Node::Slice { src, lo } => {
-                let (mut src, mut lo) = (src, lo);
+            Node::Slice { src: s0, lo: l0 } => {
+                let (mut src, mut lo) = (remap(s0), l0);
+                let start = src;
                 let mut padding = false;
                 loop {
-                    match resolved(module, src) {
+                    match module.node(src).node {
                         // Slice of a slice: shift the window into the source.
                         Node::Slice { src: inner, lo: l2 } => {
                             src = inner;
@@ -84,35 +82,34 @@ pub fn strength_reduce(module: &mut Module) {
                 }
                 if padding {
                     Some(Rewrite::Const(Bits::zero(w)))
-                } else if let Node::Slice { src: s0, lo: l0 } = node {
-                    if src != s0 || lo != l0 {
-                        Some(Rewrite::Slice(src, lo, w))
-                    } else {
-                        None
-                    }
+                } else if src != start || lo != l0 {
+                    Some(Rewrite::Slice(src, lo, w))
                 } else {
-                    unreachable!()
+                    None
                 }
             }
             // Adjacent slices of one source re-concatenate into one slice.
-            Node::Concat(hi, lo_half) => match (resolved(module, hi), resolved(module, lo_half)) {
-                (Node::Slice { src: s1, lo: l1 }, Node::Slice { src: s2, lo: l2 })
-                    if s1 == s2 && l1 == l2 + module.width(lo_half) =>
-                {
-                    Some(Rewrite::Slice(s1, l2, w))
+            Node::Concat(hi, lo_half) => {
+                let (hi, lo_half) = (remap(hi), remap(lo_half));
+                match (&module.node(hi).node, &module.node(lo_half).node) {
+                    (&Node::Slice { src: s1, lo: l1 }, &Node::Slice { src: s2, lo: l2 })
+                        if s1 == s2 && l1 == l2 + module.width(lo_half) =>
+                    {
+                        Some(Rewrite::Slice(s1, l2, w))
+                    }
+                    _ => None,
                 }
-                _ => None,
-            },
+            }
             // Extension chains collapse when the middle stage kept all the
             // source bits (zext∘zext and sext∘sext are then single steps).
-            Node::ZExt(a) => match resolved(module, a) {
-                Node::ZExt(inner) if module.width(a) >= module.width(inner) => {
+            Node::ZExt(a) => match module.node(remap(a)).node {
+                Node::ZExt(inner) if module.width(remap(a)) >= module.width(inner) => {
                     Some(Rewrite::ZExt(inner, w))
                 }
                 _ => None,
             },
-            Node::SExt(a) => match resolved(module, a) {
-                Node::SExt(inner) if module.width(a) >= module.width(inner) => {
+            Node::SExt(a) => match module.node(remap(a)).node {
+                Node::SExt(inner) if module.width(remap(a)) >= module.width(inner) => {
                     Some(Rewrite::SExt(inner, w))
                 }
                 _ => None,

@@ -9,8 +9,11 @@
 //! designs) is pinned here so it cannot silently regress.
 
 use hls_vs_hc::axi::{BatchedStreamHarness, StreamHarness};
-use hls_vs_hc::core::entries::{all_tools, Design, DesignInterface};
+use hls_vs_hc::core::entries::{all_tools, dse_points, Design, DesignInterface};
+use hls_vs_hc::core::matrix::matrix_cells;
+use hls_vs_hc::core::tool::table1_rows;
 use hls_vs_hc::idct::generator::BlockGen;
+use hls_vs_hc::rtl::hash::content_hash;
 use hls_vs_hc::rtl::passes::{optimize, optimize_with, PassConfig};
 use hls_vs_hc::sim::{CompiledSimulator, EngineOptions, SimBackend, Simulator};
 use proptest::prelude::*;
@@ -114,6 +117,50 @@ fn pass_pipeline_is_idempotent_on_every_table2_design() {
             );
         }
     }
+}
+
+/// Pins the optimizer's output on every distinct module the experiments
+/// optimize: Table II initial and optimized, every Fig. 1 design point and
+/// every kernel-matrix cell, de-duplicated by content hash (the set the
+/// `paper_cold` benchmark workload runs through the front half). The module
+/// count, the node total after the pipeline and an FNV-1a digest over the
+/// optimized modules' content hashes, in build order, are the values of
+/// commit 094bf1b, before the pass plumbing was rewritten to edit modules
+/// in place. A change that alters the optimizer's decisions on purpose
+/// updates them and says so in CHANGES.md.
+#[test]
+fn optimized_paper_modules_are_pinned() {
+    let mut modules = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    let mut add = |d: &Design| {
+        if seen.insert(content_hash(&d.module)) {
+            modules.push(d.module.clone());
+        }
+    };
+    for tool in all_tools() {
+        add(&tool.initial);
+        add(&tool.optimized);
+    }
+    for tool in table1_rows() {
+        dse_points(tool.id).iter().for_each(&mut add);
+    }
+    for spec in hls_vs_hc::kernels::kernels() {
+        matrix_cells(&spec).iter().for_each(|(_, d)| add(d));
+    }
+    let (mut nodes_in, mut nodes_out) = (0, 0);
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for mut module in modules.iter().cloned() {
+        let report = optimize_with(&mut module, &PassConfig::all());
+        nodes_in += report.nodes_before;
+        nodes_out += report.nodes_after;
+        for byte in content_hash(&module).to_le_bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    assert_eq!(modules.len(), 87, "distinct modules");
+    assert_eq!(nodes_in, 765_497, "nodes before the pipeline");
+    assert_eq!(nodes_out, 397_363, "nodes after the pipeline");
+    assert_eq!(digest, 0x93be_4680_58e7_f6d0, "optimized netlists changed");
 }
 
 /// The PR's headline claim: the pipeline shrinks the compiled tape by at
